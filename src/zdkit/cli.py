@@ -25,7 +25,7 @@ from .design import (
 )
 from .errors import DomainError, ValidationError, ZDKitError
 from .games import GameSpec
-from .markov import TransitionMatrix, analyze, build_pee, build_rule
+from .markov import analyze, build_pee, build_rule, check_stochastic
 from .montecarlo import compare_empirical_vs_exact, simulate
 from .network import NetworkGame, reduce_to_fop
 
@@ -131,6 +131,25 @@ def _load_json(path):
         raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 
 
+def _load_matrix(path) -> np.ndarray:
+    """A square stochastic matrix from a JSON file ({"matrix": rows} or rows)."""
+    doc = _load_json(path)
+    rows = doc.get("matrix") if isinstance(doc, dict) else doc
+    try:
+        L = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        L = None
+    if L is None or L.ndim != 2 or L.shape[0] != L.shape[1] or L.size == 0:
+        for i, row in enumerate(rows if isinstance(rows, list) else ()):
+            for j, v in enumerate(row if isinstance(row, list) else ()):
+                if not isinstance(v, (int, float)):
+                    raise ValidationError(
+                        f"{path}: matrix entry in row {i + 1}, column {j + 1} "
+                        f"is {v!r}, not a number")
+        raise ValidationError(f"{path}: 'matrix' must be a square table of numbers")
+    return check_stochastic(L, source=path)
+
+
 def _load_rules(doc: dict, game: GameSpec) -> dict:
     if "rules" not in doc:
         raise ValidationError("rules file missing required field 'rules'")
@@ -217,9 +236,7 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     if args.matrix:
-        doc = _load_json(args.matrix)
-        L = np.array(doc["matrix"] if isinstance(doc, dict) else doc, dtype=float)
-        L = TransitionMatrix(matrix=L)
+        L = _load_matrix(args.matrix)
     elif args.rules:
         game = GameSpec.from_json(_load_json(args.game)) if args.game else None
         rules_doc = _load_json(args.rules)

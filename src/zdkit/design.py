@@ -12,7 +12,9 @@ p_{i,j} - xi_{i,j} (the row-sum identity), and every row of L - I annihilates
 the stationary vector, so the relation is forced to hold whenever the chain
 settles.  Rationality asks the designed rows to be genuine probabilities;
 effectiveness asks the chain to settle (power limit with identical columns,
-and rank(L - I) = kappa - 1).
+and rank(L - I) = kappa - 1).  Both conditions are decided exactly from the
+transition graph (markov.chain_structure); a design with negative entries
+has no such graph, and its conditions are reported as not evaluated.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ import numpy as np
 from .errors import ConsistencyError, DimensionError, DomainError
 from .games import GameSpec
 from .markov import (
+    POSITIVITY_TOL,
     StrategyRule,
     build_pee,
     build_rule,
-    nullspace_stationary,
-    power_limit,
-    rank_defect,
+    chain_structure,
+    solve_stationary,
 )
 
 RESIDUAL_TOL = 1e-8
@@ -334,10 +336,11 @@ def xi_sum_identity(rules, i: int, j: int, tol: float = 1e-9) -> np.ndarray:
 class EffectivenessReport:
     rational: bool
     effective: bool
-    limit_ok: bool
-    rank_ok: bool
+    limit_ok: bool | None  # None: not evaluated (negative entries in L)
+    rank_ok: bool | None
     expected_payoffs: list | None
     residuals: list | None
+    stationary_residual: float | None
 
     def to_json(self) -> dict:
         return {
@@ -346,23 +349,27 @@ class EffectivenessReport:
             "conditions": {"limit": self.limit_ok, "rank": self.rank_ok},
             "expected_payoffs": self.expected_payoffs,
             "residuals": self.residuals,
+            "stationary_residual": self.stationary_residual,
         }
 
 
 def verify_effectiveness(game: GameSpec, assignment: ZDAssignment,
                          opponent_rules: dict,
-                         residual_tol: float = RESIDUAL_TOL,
-                         column_tol: float = 1e-8,
-                         max_t: int = 1 << 20) -> EffectivenessReport:
+                         residual_tol: float = RESIDUAL_TOL) -> EffectivenessReport:
     """Check whether the designed payoff relations hold at stationarity.
 
     opponent_rules maps every player other than the designer to a
     StrategyRule (or raw k x kappa matrix).  The verdict requires the power
     limit of the full transition matrix to exist with identical columns and
-    rank(L - I) = kappa - 1; when both hold the stationary payoffs and the
-    per-relation residuals are reported.  A failed condition yields an
+    rank(L - I) = kappa - 1.  Both are decided exactly from the transition
+    graph: the rank condition holds iff the chain has one closed class, the
+    limit condition iff that class is also aperiodic.  When both hold the
+    stationary payoffs, the per-relation residuals and the stationary
+    solve's residual are reported.  A failed condition yields an
     "ineffective" report, never an exception: the designer cannot force
-    these conditions alone.
+    these conditions alone.  An irrational design with negative entries
+    makes L no chain at all: it is ineffective, with both conditions None
+    (not evaluated).
     """
     rules = []
     for p in range(1, game.n + 1):
@@ -379,19 +386,18 @@ def verify_effectiveness(game: GameSpec, assignment: ZDAssignment,
             rules.append(r)
     L = build_pee(rules)
     rational = rationality_check(assignment).verdict
-
-    lim = power_limit(L, max_t=max_t)
-    limit_ok = False
-    u = None
-    if lim.converged:
-        cols = lim.matrix
-        spread = float(np.max(cols.max(axis=1) - cols.min(axis=1)))
-        limit_ok = spread < column_tol
-    rank_ok = rank_defect(L) == 1
-    effective = limit_ok and rank_ok
-    payoffs = residuals = None
+    if np.any(L.matrix < -POSITIVITY_TOL):
+        return EffectivenessReport(
+            rational=rational, effective=False, limit_ok=None, rank_ok=None,
+            expected_payoffs=None, residuals=None, stationary_residual=None,
+        )
+    chain = chain_structure(L)
+    rank_ok = chain.rank_defect == 1
+    limit_ok = chain.limit_identical_columns
+    payoffs = residuals = stationary_residual = None
+    effective = limit_ok
     if effective:
-        u = nullspace_stationary(L)
+        u, stationary_residual = solve_stationary(L)
         ec = game.payoffs @ u
         payoffs = [float(v) for v in ec]
         residuals = [
@@ -405,4 +411,5 @@ def verify_effectiveness(game: GameSpec, assignment: ZDAssignment,
         rank_ok=rank_ok,
         expected_payoffs=payoffs,
         residuals=residuals,
+        stationary_residual=stationary_residual,
     )

@@ -4,9 +4,18 @@ Each player's memory-one rule is a column-stochastic k_i x kappa matrix whose
 column r is the distribution of the player's next strategy given that the
 current joint profile is r.  Multiplying all rules together (column-wise
 Kronecker / Khatri-Rao) yields the kappa x kappa transition matrix L of the
-profile chain x(t+1) = L x(t).  The analysis side provides primitivity with a
-witness exponent, the stationary distribution, the rank defect of L - I, the
-adjugate for validation, and power limits.
+profile chain x(t+1) = L x(t).
+
+The analysis decides chain structure exactly from the transition graph, the
+positivity pattern of L: the closed communicating classes come from Boolean
+reachability, each class's period from BFS levels, and a primitive chain's
+least witness exponent from Boolean repeated squaring.  For a stochastic L,
+rank(L - I) = kappa - 1 holds iff there is exactly one closed class, and the
+power limit exists iff every closed class is aperiodic (Kemeny & Snell,
+Finite Markov Chains, 1960).  The stationary vector is one LU solve of L - I
+with a row replaced by ones, reported with its residual.  The float routes
+(Wielandt primitivity loop, SVD rank defect and null space, power limit by
+squaring, power iteration, adjugate) stay as independent references.
 """
 
 from __future__ import annotations
@@ -116,6 +125,9 @@ def is_primitive(L, tol: float = POSITIVITY_TOL):
     pattern only, which is exact for nonnegative matrices.
     """
     m = _matrix_of(L)
+    if np.any(m < -tol):
+        raise ValidationError(
+            "primitivity by the Wielandt bound needs a nonnegative matrix")
     kappa = m.shape[0]
     pattern = m > tol
     bound = (kappa - 1) ** 2 + 1
@@ -152,16 +164,159 @@ def power_iteration_stationary(L, tol: float = 1e-14, max_iter: int = 200000):
     raise AnalysisError(f"power iteration did not converge in {max_iter} steps")
 
 
+def check_stochastic(L, source: str = "L") -> np.ndarray:
+    """The matrix of L, or ValidationError naming its first bad column.
+
+    Every entry must be >= -POSITIVITY_TOL and every column must sum to 1
+    within DEFAULT_TOL; NaN fails both.  source names the matrix in the
+    message, e.g. the file it was read from.
+    """
+    m = _matrix_of(L)
+    sums = m.sum(axis=0)
+    bad = ~(m >= -POSITIVITY_TOL).all(axis=0) | ~(np.abs(sums - 1.0) <= DEFAULT_TOL)
+    if bad.any():
+        c = int(np.argmax(bad))
+        raise ValidationError(
+            f"{source}: column {c + 1} is not a probability distribution "
+            f"(sum {sums[c]:.6g}, smallest entry {m[:, c].min():.6g})")
+    return m
+
+
+def _bool_product(a, b) -> np.ndarray:
+    # 0/1 float32 operands keep BLAS; counts up to kappa are exact
+    return (a @ b > 0).astype(np.float32)
+
+
+def _period(step) -> int:
+    """Period of a strongly connected pattern: gcd of BFS level differences.
+
+    step[i, j] means one move goes from j to i (Denardo 1977).
+    """
+    n = step.shape[0]
+    level = np.full(n, -1)
+    level[0] = 0
+    frontier = level == 0
+    d = 0
+    while frontier.any():
+        d += 1
+        frontier = step[:, frontier].any(axis=1) & (level < 0)
+        level[frontier] = d
+    dst, src = np.nonzero(step)
+    return int(np.gcd.reduce(level[src] + 1 - level[dst]))
+
+
+def _least_positive_power(step) -> int:
+    """Least s with step^s entrywise positive, for a primitive pattern.
+
+    Squares until a power 2^m is positive, then lifts binary digits from the
+    top.  Powers of a pattern with no empty column stay positive once they
+    are (P^(s+1) = P^s P), so the search is valid.
+    """
+    powers = [step.astype(np.float32)]  # step^(2^i)
+    while not powers[-1].all():
+        powers.append(_bool_product(powers[-1], powers[-1]))
+    if len(powers) == 1:
+        return 1
+    s, cur = 1 << (len(powers) - 2), powers[-2]
+    for i in range(len(powers) - 3, -1, -1):
+        cand = _bool_product(cur, powers[i])
+        if not cand.all():
+            s, cur = s + (1 << i), cand
+    return s + 1
+
+
+@dataclass(frozen=True)
+class ChainStructure:
+    """Exact pattern facts of a stochastic chain."""
+
+    classes: tuple  # closed communicating classes, 0-based profile arrays
+    periods: tuple  # one per closed class
+    witness: int | None  # least s with L^s > 0; None when not primitive
+
+    @property
+    def primitive(self) -> bool:
+        return self.witness is not None
+
+    @property
+    def rank_defect(self) -> int:
+        """kappa - rank(L - I): the number of closed classes."""
+        return len(self.classes)
+
+    @property
+    def aperiodic(self) -> bool:
+        """Whether the power limit of L exists."""
+        return all(p == 1 for p in self.periods)
+
+    @property
+    def limit_identical_columns(self) -> bool:
+        """Whether the power limit exists with identical columns."""
+        return self.rank_defect == 1 and self.aperiodic
+
+
+def chain_structure(L) -> ChainStructure:
+    """Closed classes, periods and primitivity of L from its positivity pattern.
+
+    Exact: no float tolerance beyond POSITIVITY_TOL for the pattern itself.
+    Raises ValidationError when L is not column-stochastic.
+    """
+    m = check_stochastic(L)
+    kappa = m.shape[0]
+    step = m > POSITIVITY_TOL  # step[i, j]: one move goes from j to i
+    if step.all():
+        return ChainStructure(classes=(np.arange(kappa),), periods=(1,),
+                              witness=1)
+    # reach[i, j]: j reaches i; squaring doubles the path length covered
+    reach = (step | np.eye(kappa, dtype=bool)).astype(np.float32)
+    while not ((wider := _bool_product(reach, reach)) == reach).all():
+        reach = wider
+    reach = reach > 0
+    # j is in a closed class iff every state it reaches reaches it back
+    closed = ~(reach & ~reach.T).any(axis=0)
+    mutual = reach & reach.T
+    classes, seen = [], np.zeros(kappa, dtype=bool)
+    for j in np.flatnonzero(closed):
+        if not seen[j]:
+            members = np.flatnonzero(mutual[:, j])
+            seen[members] = True
+            classes.append(members)
+    periods = tuple(_period(step[np.ix_(c, c)]) for c in classes)
+    witness = None
+    if len(classes) == 1 and len(classes[0]) == kappa and periods[0] == 1:
+        witness = _least_positive_power(step)
+    return ChainStructure(classes=tuple(classes), periods=periods,
+                          witness=witness)
+
+
+def solve_stationary(L):
+    """Fixed vector of a chain with one closed class, and its residual.
+
+    One LU solve of L - I with its last row replaced by ones (the mass
+    condition); the residual is max |L u - u|.
+    """
+    m = _matrix_of(L)
+    kappa = m.shape[0]
+    a = m - np.eye(kappa)
+    a[-1] = 1.0
+    b = np.zeros(kappa)
+    b[-1] = 1.0
+    u = np.linalg.solve(a, b)
+    return u, float(np.max(np.abs(m @ u - u)))
+
+
+def _positive_stationary(m, tol: float):
+    u, residual = solve_stationary(m)
+    if np.min(u) <= 0 or residual > tol:
+        raise AnalysisError(
+            f"stationary solve failed the fixed-point check "
+            f"(residual {residual:.3g}, smallest entry {np.min(u):.3g})")
+    return u, residual
+
+
 def stationary_distribution(L, tol: float = 1e-10) -> np.ndarray:
     """Unique positive stationary distribution of a primitive chain."""
-    primitive, _ = is_primitive(L)
-    if not primitive:
+    if not chain_structure(L).primitive:
         raise AnalysisError("chain is not primitive; stationary vector not unique")
-    u = nullspace_stationary(L)
-    m = _matrix_of(L)
-    if np.min(u) <= 0 or np.max(np.abs(m @ u - u)) > tol:
-        raise AnalysisError("null-space solve failed the fixed-point check")
-    return u
+    return _positive_stationary(_matrix_of(L), tol)[0]
 
 
 def rank_defect(L) -> int:
@@ -230,9 +385,11 @@ class MarkovReport:
 
     primitive: bool
     witness_s: int | None
-    rank_defect: int
+    rank_defect: int  # number of closed classes
     stationary: np.ndarray | None
-    limit_converged: bool
+    limit_converged: bool  # every closed class aperiodic
+    periods: tuple  # one per closed class
+    stationary_residual: float | None
 
     def to_json(self) -> dict:
         return {
@@ -241,18 +398,24 @@ class MarkovReport:
             "rank_defect": self.rank_defect,
             "stationary": None if self.stationary is None else list(self.stationary),
             "limit_converged": self.limit_converged,
+            "periods": list(self.periods),
+            "stationary_residual": self.stationary_residual,
         }
 
 
-def analyze(L, max_t: int = 1 << 20, tol: float = 1e-10) -> MarkovReport:
-    primitive, witness = is_primitive(L)
-    defect = rank_defect(L)
-    limit = power_limit(L, max_t=max_t)
-    u = stationary_distribution(L, tol=tol) if primitive else None
+def analyze(L, tol: float = 1e-10) -> MarkovReport:
+    """Exact chain structure of a stochastic L, plus its stationary vector
+    when L is primitive."""
+    chain = chain_structure(L)
+    u = residual = None
+    if chain.primitive:
+        u, residual = _positive_stationary(_matrix_of(L), tol)
     return MarkovReport(
-        primitive=primitive,
-        witness_s=witness,
-        rank_defect=defect,
+        primitive=chain.primitive,
+        witness_s=chain.witness,
+        rank_defect=chain.rank_defect,
         stationary=u,
-        limit_converged=limit.converged,
+        limit_converged=chain.aperiodic,
+        periods=chain.periods,
+        stationary_residual=residual,
     )

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 from .games import GameSpec
-from .markov import _matrix_of
+from .markov import check_stochastic
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,12 @@ def simulate(L, x0: int, steps: int, seed: int,
              game: GameSpec | None = None,
              burn_in: int | None = None) -> Trajectory:
     """Sample a trajectory of the profile chain starting from profile x0."""
-    m = _matrix_of(L)
+    m = check_stochastic(L)
     kappa = m.shape[0]
     if steps < 1:
         raise DomainError("steps must be >= 1")
     if not 1 <= x0 <= kappa:
         raise DomainError(f"initial profile {x0} outside 1..{kappa}")
-    sums = m.sum(axis=0)
-    if np.any(m < -1e-12) or np.any(np.abs(sums - 1.0) > 1e-9):
-        bad = int(np.argmax(np.abs(sums - 1.0))) + 1
-        raise ValidationError(f"column {bad} of L is not a probability distribution")
     if burn_in is None:
         burn_in = steps // 10
 

@@ -173,6 +173,29 @@ def test_analyze_matrix(tmp_path):
     np.testing.assert_allclose(doc["stationary"], [5 / 6, 1 / 6], atol=1e-10)
 
 
+def test_analyze_matrix_non_numeric_exits_two(tmp_path, capsys):
+    mat = tmp_path / "L.json"
+    mat.write_text(json.dumps({"matrix": [[0.9, "x"], [0.1, 0.5]]}))
+    code = run(["analyze", "--matrix", str(mat)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(mat) in err and "column 2" in err
+
+
+def test_analyze_matrix_not_stochastic_exits_two(tmp_path, capsys):
+    mat = tmp_path / "L.json"
+    # column 2 has a negative entry; column 1 alone would be fine
+    mat.write_text(json.dumps({"matrix": [[0.9, 1.2], [0.1, -0.2]]}))
+    assert run(["analyze", "--matrix", str(mat)]) == 2
+    err = capsys.readouterr().err
+    assert str(mat) in err and "column 2" in err
+    # column 1 sums to 0.9
+    mat.write_text(json.dumps({"matrix": [[0.8, 0.5], [0.1, 0.5]]}))
+    assert run(["analyze", "--matrix", str(mat)]) == 2
+    err = capsys.readouterr().err
+    assert str(mat) in err and "column 1" in err
+
+
 def test_simulate_command(extortion_game_file, tmp_path):
     rng = np.random.default_rng(50)
 

@@ -281,3 +281,32 @@ def test_assignment_rejects_too_many_designed_rows():
             for j in (1, 2)}
     with pytest.raises(DomainError):
         ZDAssignment(designer=1, k=2, kappa=4, designed=rows)
+
+
+def test_effectiveness_irrational_design_not_evaluated(extortion_game):
+    # mu far outside the feasible interval: the designed rows leave [0, 1]
+    # and L gets negative entries, so it is no Markov chain to analyse
+    a = design_extortion(extortion_game, i=2, reference=1,
+                         targets={1: 1.1, 3: 1.2}, mus={1: 2.0, 3: 3.0},
+                         rows={1: 1, 3: 2})
+    assert a.rule_matrix().min() < 0
+    rng = np.random.default_rng(24)
+    opponents = {1: random_interior_rule(rng, 1, 2, 12),
+                 3: random_interior_rule(rng, 3, 2, 12)}
+    report = verify_effectiveness(extortion_game, a, opponents)
+    assert not report.rational and not report.effective
+    assert report.limit_ok is None and report.rank_ok is None
+    doc = report.to_json()
+    assert doc["conditions"] == {"limit": None, "rank": None}
+    assert doc["expected_payoffs"] is None and doc["stationary_residual"] is None
+
+
+def test_effectiveness_reports_stationary_residual(extortion_game):
+    a = design_extortion(extortion_game, i=2, reference=1,
+                         targets={1: 1.1, 3: 1.2}, mus={1: 0.05, 3: 0.1},
+                         rows={1: 1, 3: 2})
+    rng = np.random.default_rng(25)
+    opponents = {1: random_interior_rule(rng, 1, 2, 12),
+                 3: random_interior_rule(rng, 3, 2, 12)}
+    doc = verify_effectiveness(extortion_game, a, opponents).to_json()
+    assert doc["effective"] and doc["stationary_residual"] < 1e-12

@@ -250,3 +250,24 @@ def test_markov_report_json():
     assert doc["primitive"] and doc["witness_s"] == 1
     assert doc["rank_defect"] == 1 and doc["limit_converged"]
     assert abs(sum(doc["stationary"]) - 1.0) < 1e-12
+
+
+def test_is_primitive_rejects_negative_entries():
+    # columns sum to 1 but one entry is negative, as an irrational design
+    # makes them; the Wielandt argument holds only for nonnegative matrices
+    L = np.array([[1.2, 0.5], [-0.2, 0.5]])
+    with pytest.raises(ValidationError):
+        is_primitive(L)
+
+
+def test_analyze_reports_periods_and_residual():
+    rng = np.random.default_rng(16)
+    doc = analyze(random_stochastic(rng, 5)).to_json()
+    assert doc["periods"] == [1]
+    assert doc["stationary_residual"] < 1e-12
+    cycle = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
+    doc = analyze(cycle).to_json()
+    assert doc["periods"] == [3] and not doc["limit_converged"]
+    assert doc["stationary"] is None and doc["stationary_residual"] is None
+    doc = analyze(np.eye(3)).to_json()
+    assert doc["periods"] == [1, 1, 1] and doc["rank_defect"] == 3
