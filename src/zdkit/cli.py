@@ -150,13 +150,42 @@ def _load_matrix(path) -> np.ndarray:
     return check_stochastic(L, source=path)
 
 
-def _load_rules(doc: dict, game: GameSpec) -> dict:
-    if "rules" not in doc:
-        raise ValidationError("rules file missing required field 'rules'")
+def _load_rules(path, game: GameSpec | None) -> dict:
+    """Rule matrices by player from a JSON file ({"rules": {player: rows}}).
+
+    Keys must be player numbers and entries finite numbers; with a game, each
+    player must be in 1..n with a (k_p, kappa) rule.
+    """
+    doc = _load_json(path)
+    if not isinstance(doc, dict) or not isinstance(doc.get("rules"), dict):
+        raise ValidationError(f"{path}: missing object field 'rules'")
     out = {}
     for key, matrix in doc["rules"].items():
-        p = int(key)
-        out[p] = build_rule(p, np.array(matrix, dtype=float))
+        try:
+            p = int(key)
+        except ValueError:
+            raise ValidationError(
+                f"{path}: rules key {key!r} is not a player number") from None
+        try:
+            m = np.array(matrix, dtype=float)
+        except (TypeError, ValueError):
+            m = None
+        if m is None or not np.isfinite(m).all():
+            raise ValidationError(
+                f"{path}: rule of player {p} must be a table of numbers")
+        if game is not None:
+            if not 1 <= p <= game.n:
+                raise ValidationError(
+                    f"{path}: player {p} outside 1..{game.n}")
+            expected = (game.k[p - 1], game.kappa)
+            if m.shape != expected:
+                raise ValidationError(
+                    f"{path}: rule of player {p} has shape {m.shape}, "
+                    f"expected {expected} (strategies x profiles)")
+        try:
+            out[p] = build_rule(p, m)
+        except ZDKitError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
     return out
 
 
@@ -209,7 +238,7 @@ def cmd_verify(args) -> int:
     assignment = ZDAssignment.from_json(_load_json(args.assignment))
     trials = []
     if args.opponents:
-        rules = _load_rules(_load_json(args.opponents), game)
+        rules = _load_rules(args.opponents, game)
         trials.append(rules)
     elif args.random_opponents:
         rng = np.random.default_rng(args.seed)
@@ -239,8 +268,7 @@ def cmd_analyze(args) -> int:
         L = _load_matrix(args.matrix)
     elif args.rules:
         game = GameSpec.from_json(_load_json(args.game)) if args.game else None
-        rules_doc = _load_json(args.rules)
-        rules = _load_rules(rules_doc, game)
+        rules = _load_rules(args.rules, game)
         L = build_pee([rules[p] for p in sorted(rules)])
     else:
         raise ValidationError("need --matrix FILE or --rules FILE")
@@ -251,7 +279,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     game = GameSpec.from_json(_load_json(args.game))
-    rules = _load_rules(_load_json(args.rules), game)
+    rules = _load_rules(args.rules, game)
     if args.assignment:
         assignment = ZDAssignment.from_json(_load_json(args.assignment))
         rules[assignment.designer] = assignment.as_rule()
@@ -384,6 +412,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ZDKitError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

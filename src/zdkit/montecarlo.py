@@ -2,12 +2,18 @@
 
 The chain is sampled state by state from the columns of the transition
 matrix with a seeded generator (numpy PCG64), so runs are reproducible from
-(seed, inputs) alone.  The first tenth of each run is discarded as burn-in
-before empirical statistics are taken.
+(seed, inputs) alone.  Each step is one ``bisect_right`` of a uniform draw in
+the current column of the cumulative matrix, kept as Python lists; it probes
+the same midpoints with the same test as ``np.searchsorted(side="right")``,
+so it returns the same state even on a column made non-monotone by entries in
+[-POSITIVITY_TOL, 0).  Draws are taken DRAW_CHUNK at a time, which continues
+the stream of a single ``rng.random(steps)`` call.  The first tenth of each
+run is discarded as burn-in before empirical statistics are taken.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +21,10 @@ import numpy as np
 from .errors import DomainError
 from .games import GameSpec
 from .markov import check_stochastic
+
+# Draws are taken and walked this many at a time, which bounds the Python
+# floats alive at once.
+DRAW_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -50,13 +60,17 @@ def simulate(L, x0: int, steps: int, seed: int,
 
     cum = np.cumsum(m, axis=0)
     cum[-1, :] = 1.0  # guard against rounding in the last bin
+    columns = cum.T.tolist()
     rng = np.random.default_rng(seed)
-    draws = rng.random(steps)
     states = np.empty(steps, dtype=np.int64)
     s = x0 - 1
-    for t in range(steps):
-        s = int(np.searchsorted(cum[:, s], draws[t], side="right"))
-        states[t] = s
+    for start in range(0, steps, DRAW_CHUNK):
+        draws = rng.random(min(DRAW_CHUNK, steps - start)).tolist()
+        chunk = []
+        for u in draws:
+            s = bisect_right(columns[s], u)
+            chunk.append(s)
+        states[start:start + len(chunk)] = chunk
     kept = states[burn_in:]
     counts = np.bincount(kept, minlength=kappa)
     empirical = counts / counts.sum()

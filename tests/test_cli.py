@@ -298,3 +298,68 @@ def test_malformed_relation_spec(pinning_game_file, capsys):
         "--relation", "pin:target=1",
     ])
     assert code == 2
+
+
+def _interior_rows(rng, k, kappa=12):
+    w = rng.uniform(0.1, 1, size=(k, kappa))
+    return (w / w.sum(axis=0)).tolist()
+
+
+# each bad rules file, with the player its error message must name
+BAD_RULES_PLAYER = {
+    "key_not_integer": "'x'",
+    "entries_not_numeric": "player 1",
+    "player_out_of_range": "player 4",
+    "row_count_mismatch": "player 2",
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RULES_PLAYER))
+def test_simulate_bad_rules_file_exits_two(extortion_game_file, tmp_path,
+                                           capsys, case):
+    rng = np.random.default_rng(51)
+    rules = {"1": _interior_rows(rng, 2), "2": _interior_rows(rng, 3),
+             "3": _interior_rows(rng, 2)}
+    if case == "key_not_integer":
+        rules["x"] = rules.pop("1")
+    elif case == "entries_not_numeric":
+        rules["1"][0][3] = "half"
+    elif case == "player_out_of_range":
+        rules["4"] = _interior_rows(rng, 2)
+    elif case == "row_count_mismatch":
+        rules["2"] = _interior_rows(rng, 2)
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"rules": rules}))
+    code = run(["simulate", "--game", extortion_game_file, "--rules", str(path),
+                "--steps", "100"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(path) in err and BAD_RULES_PLAYER[case] in err
+
+
+def test_analyze_rules_without_game_checks_keys_and_entries(tmp_path, capsys):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"rules": {"one": [[1, 0], [0, 1]]}}))
+    assert run(["analyze", "--rules", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "'one'" in err
+    path.write_text(json.dumps({"rules": {"1": [[1, None], [0, 1]]}}))
+    assert run(["analyze", "--rules", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "player 1" in err
+
+
+def test_simulate_out_of_memory_exits_two(extortion_game_file, tmp_path,
+                                          capsys):
+    # 10**14 int64 states need 800 TB, more than the user address space,
+    # so the allocation fails at once whatever the overcommit policy
+    rng = np.random.default_rng(52)
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"rules": {
+        "1": _interior_rows(rng, 2), "2": _interior_rows(rng, 3),
+        "3": _interior_rows(rng, 2)}}))
+    code = run(["simulate", "--game", extortion_game_file, "--rules", str(path),
+                "--steps", str(10 ** 14)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
