@@ -24,7 +24,7 @@ from .design import (
     verify_effectiveness,
 )
 from .errors import DomainError, ValidationError, ZDKitError
-from .games import GameSpec
+from .games import GameSpec, numeric_table, read_json
 from .markov import analyze, build_pee, build_rule, check_stochastic
 from .montecarlo import compare_empirical_vs_exact, simulate
 from .network import NetworkGame, reduce_to_fop
@@ -121,31 +121,12 @@ def build_assignment(game: GameSpec, designer: int, specs) -> ZDAssignment:
 # file helpers
 
 
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ValidationError(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-
-
 def _load_matrix(path) -> np.ndarray:
     """A square stochastic matrix from a JSON file ({"matrix": rows} or rows)."""
-    doc = _load_json(path)
+    doc = read_json(path)
     rows = doc.get("matrix") if isinstance(doc, dict) else doc
-    try:
-        L = np.array(rows, dtype=float)
-    except (TypeError, ValueError):
-        L = None
-    if L is None or L.ndim != 2 or L.shape[0] != L.shape[1] or L.size == 0:
-        for i, row in enumerate(rows if isinstance(rows, list) else ()):
-            for j, v in enumerate(row if isinstance(row, list) else ()):
-                if not isinstance(v, (int, float)):
-                    raise ValidationError(
-                        f"{path}: matrix entry in row {i + 1}, column {j + 1} "
-                        f"is {v!r}, not a number")
+    L = numeric_table(rows, f"{path}: matrix")
+    if L.shape[0] != L.shape[1]:
         raise ValidationError(f"{path}: 'matrix' must be a square table of numbers")
     return check_stochastic(L, source=path)
 
@@ -156,7 +137,7 @@ def _load_rules(path, game: GameSpec | None) -> dict:
     Keys must be player numbers and entries finite numbers; with a game, each
     player must be in 1..n with a (k_p, kappa) rule.
     """
-    doc = _load_json(path)
+    doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("rules"), dict):
         raise ValidationError(f"{path}: missing object field 'rules'")
     out = {}
@@ -166,13 +147,7 @@ def _load_rules(path, game: GameSpec | None) -> dict:
         except ValueError:
             raise ValidationError(
                 f"{path}: rules key {key!r} is not a player number") from None
-        try:
-            m = np.array(matrix, dtype=float)
-        except (TypeError, ValueError):
-            m = None
-        if m is None or not np.isfinite(m).all():
-            raise ValidationError(
-                f"{path}: rule of player {p} must be a table of numbers")
+        m = numeric_table(matrix, f"{path}: rule of player {p}")
         if game is not None:
             if not 1 <= p <= game.n:
                 raise ValidationError(
@@ -224,7 +199,7 @@ def _render_table(doc: dict, indent: str = ""):
 
 
 def cmd_design(args) -> int:
-    game = GameSpec.from_json(_load_json(args.game))
+    game = GameSpec.load(args.game)
     assignment = build_assignment(game, args.player, args.relation)
     report = rationality_check(assignment)
     doc = assignment.to_json()
@@ -234,11 +209,16 @@ def cmd_design(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    game = GameSpec.from_json(_load_json(args.game))
-    assignment = ZDAssignment.from_json(_load_json(args.assignment))
+    game = GameSpec.load(args.game)
+    assignment = ZDAssignment.from_json(read_json(args.assignment))
     trials = []
     if args.opponents:
         rules = _load_rules(args.opponents, game)
+        missing = [p for p in range(1, game.n + 1)
+                   if p != assignment.designer and p not in rules]
+        if missing:
+            raise ValidationError(
+                f"{args.opponents}: no rule given for players {missing}")
         trials.append(rules)
     elif args.random_opponents:
         rng = np.random.default_rng(args.seed)
@@ -267,7 +247,7 @@ def cmd_analyze(args) -> int:
     if args.matrix:
         L = _load_matrix(args.matrix)
     elif args.rules:
-        game = GameSpec.from_json(_load_json(args.game)) if args.game else None
+        game = GameSpec.load(args.game) if args.game else None
         rules = _load_rules(args.rules, game)
         L = build_pee([rules[p] for p in sorted(rules)])
     else:
@@ -278,10 +258,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    game = GameSpec.from_json(_load_json(args.game))
+    game = GameSpec.load(args.game)
     rules = _load_rules(args.rules, game)
     if args.assignment:
-        assignment = ZDAssignment.from_json(_load_json(args.assignment))
+        assignment = ZDAssignment.from_json(read_json(args.assignment))
         rules[assignment.designer] = assignment.as_rule()
     missing = [p for p in range(1, game.n + 1) if p not in rules]
     if missing:
@@ -302,7 +282,7 @@ def cmd_neg(args) -> int:
         raise ValidationError("neg writes several artifacts; --out DIR is required")
     net = NetworkGame.load(args.network)
     node = args.node
-    if node not in net.nodes and node.isdigit() and int(node) in net.nodes:
+    if node not in net.adjacency and node.isdigit() and int(node) in net.adjacency:
         node = int(node)
     fop = reduce_to_fop(net, node)
     assignment = build_assignment(fop.game, designer=1, specs=args.relation)

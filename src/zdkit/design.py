@@ -48,6 +48,8 @@ class LinearRelation:
         c = tuple(float(v) for v in self.coeffs)
         if not c or all(v == 0.0 for v in c):
             raise DomainError("relation needs at least one nonzero payoff coefficient")
+        if not np.isfinite(c + (float(self.constant),)).all():
+            raise DomainError("relation coefficients and constant must be finite")
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "constant", float(self.constant))
 
@@ -259,27 +261,28 @@ class RationalityReport:
 
 
 def rationality_check(assignment: ZDAssignment, tol: float = 1e-12) -> RationalityReport:
-    """Designed rows must lie in [0,1] entrywise and sum entrywise into [0,1]."""
+    """Designed rows must lie in [0,1] entrywise and sum entrywise into [0,1].
+
+    Violations are listed row by row, each in profile order; worst_margin is
+    the largest excess over [0, 1] among them (0.0 when there are none).
+    """
     row_viol = []
     worst = 0.0
     total = np.zeros(assignment.kappa)
     for d in assignment.designed_rows:
         total += d.row
-        for s in range(assignment.kappa):
-            v = d.row[s]
-            excess = max(-v, v - 1.0)
-            if excess > tol:
-                row_viol.append((d.strategy, s + 1, float(v)))
-                worst = max(worst, excess)
-    sum_viol = []
-    for s in range(assignment.kappa):
-        excess = max(-total[s], total[s] - 1.0)
-        if excess > tol:
-            sum_viol.append((s + 1, float(total[s])))
-            worst = max(worst, excess)
+        excess = np.maximum(-d.row, d.row - 1.0)
+        bad = np.flatnonzero(excess > tol)
+        row_viol += [(d.strategy, s + 1, v) for s, v in
+                     zip(bad.tolist(), d.row[bad].tolist())]
+        worst = max(worst, excess[bad].max(initial=0.0))
+    excess = np.maximum(-total, total - 1.0)
+    bad = np.flatnonzero(excess > tol)
+    sum_viol = [(s + 1, v) for s, v in zip(bad.tolist(), total[bad].tolist())]
+    worst = max(worst, excess[bad].max(initial=0.0))
     return RationalityReport(
         verdict=not row_viol and not sum_viol,
-        worst_margin=worst,
+        worst_margin=float(worst),
         row_violations=row_viol,
         sum_violations=sum_viol,
     )
@@ -289,20 +292,18 @@ def feasible_mu_interval(game: GameSpec, i: int, j: int,
                          relation: LinearRelation) -> tuple:
     """Closed interval of mu keeping the designed row entrywise in [0,1].
 
-    The interval always contains 0, which is itself excluded from valid
-    designs; an interval collapsing to [0, 0] means no admissible mu.
+    Each profile s with w_s != 0 bounds mu by -xi_s / w_s and
+    (1 - xi_s) / w_s; the interval is the intersection of those ranges.  It
+    always contains 0, which is itself excluded from valid designs; an
+    interval collapsing to [0, 0] means no admissible mu.
     """
     w = relation.row(game)
     xi = game.indexer.xi(i, j)
-    lo, hi = -np.inf, np.inf
-    for ws, xs in zip(w, xi):
-        if ws == 0.0:
-            continue
-        a, b = -xs / ws, (1.0 - xs) / ws
-        if a > b:
-            a, b = b, a
-        lo, hi = max(lo, a), min(hi, b)
-    return lo, hi
+    nz = w != 0.0
+    a, b = -xi[nz] / w[nz], (1.0 - xi[nz]) / w[nz]
+    lo = np.minimum(a, b).max(initial=-np.inf)
+    hi = np.maximum(a, b).min(initial=np.inf)
+    return float(lo), float(hi)
 
 
 def xi_sum_identity(rules, i: int, j: int, tol: float = 1e-9) -> np.ndarray:

@@ -5,6 +5,13 @@ profiles, arranged in alphabetic order with the LAST player's index varying
 fastest: (1,..,1), (1,..,2), ..., (k_1,..,k_n).  That ordering is the single
 source of truth for every other module.  Each player's payoff function is a
 row vector of length kappa, so c_i(x) = V_i . x for a profile distribution x.
+
+In that order player i's strategy is the digit (s // kappa_upper[i]) % k_i
+of the 0-based profile index s, so the profile sets phi(i, j) and their
+indicator rows xi(i, j) are computed with array arithmetic, never by
+decoding profiles one at a time.  A GameSpec builds its ProfileIndexer once.
+JSON tables of numbers are checked by numeric_table, which every file
+loader shares.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ValidationError
+from .errors import DimensionError, DomainError, ValidationError, ZDKitError
 from .stp import DEFAULT_TOL
 
 
@@ -78,12 +85,15 @@ class ProfileIndexer:
         if not 1 <= j <= self.k[i - 1]:
             raise DomainError(f"strategy {j} of player {i} outside 1..{self.k[i - 1]}")
 
+    def _plays(self, i: int, j: int) -> np.ndarray:
+        """Boolean mask over profiles: does player i play strategy j?"""
+        self._check_pair(i, j)
+        digit = np.arange(self.kappa) // self.kappa_upper[i] % self.k[i - 1]
+        return digit == j - 1
+
     def phi(self, i: int, j: int) -> tuple:
         """Sorted indices of all profiles where player i plays strategy j."""
-        self._check_pair(i, j)
-        return tuple(
-            s for s in range(1, self.kappa + 1) if self.decode(s)[i - 1] == j
-        )
+        return tuple((np.flatnonzero(self._plays(i, j)) + 1).tolist())
 
     def phi_arithmetic(self, i: int, j: int) -> tuple:
         """Same set via the closed-form index arithmetic (cross-check path)."""
@@ -98,9 +108,54 @@ class ProfileIndexer:
 
     def xi(self, i: int, j: int) -> np.ndarray:
         """0/1 indicator row of length kappa over phi(i, j)."""
-        row = np.zeros(self.kappa)
-        row[[s - 1 for s in self.phi(i, j)]] = 1.0
-        return row
+        return self._plays(i, j).astype(float)
+
+
+def read_json(path):
+    """Decoded JSON document of a file; errors name the file."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot open {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+_JSON_NUMBERS = {int, float}
+
+
+def numeric_table(rows, what: str) -> np.ndarray:
+    """A decoded JSON table of finite numbers as a 2-D float array.
+
+    rows must be a non-empty list of equally long, non-empty lists of
+    numbers; strings (numeric ones such as "0.5" too), booleans and nulls
+    are rejected.  Errors raise ValidationError starting with `what` and
+    naming the first bad row and column.
+    """
+    width = len(rows[0]) if isinstance(rows, list) and rows and isinstance(
+        rows[0], list) else 0
+    if not width or any(not isinstance(r, list) or len(r) != width for r in rows):
+        raise ValidationError(f"{what} must be a rectangular table of numbers")
+    for i, row in enumerate(rows, start=1):
+        if set(map(type, row)) <= _JSON_NUMBERS:
+            continue
+        for j, v in enumerate(row, start=1):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValidationError(
+                    f"{what}: entry in row {i}, column {j} is {v!r}, not a number")
+    try:
+        m = np.array(rows, dtype=float)
+    except OverflowError:
+        raise ValidationError(f"{what}: an entry is too large for a float") from None
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = bad[0]
+        raise ValidationError(f"{what}: entry in row {i + 1}, column {j + 1} "
+                              f"is {m[i, j]}, not a finite number")
+    return m
 
 
 def kappa_params(k) -> ProfileIndexer:
@@ -114,10 +169,12 @@ class GameSpec:
     k: tuple
     payoffs: np.ndarray  # shape (n, kappa)
     labels: tuple | None = None
+    _indexer: ProfileIndexer = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         indexer = ProfileIndexer(tuple(self.k))
         object.__setattr__(self, "k", indexer.k)
+        object.__setattr__(self, "_indexer", indexer)
         p = np.asarray(self.payoffs, dtype=float)
         if p.shape != (indexer.n, indexer.kappa):
             raise DimensionError(
@@ -134,11 +191,11 @@ class GameSpec:
 
     @property
     def indexer(self) -> ProfileIndexer:
-        return ProfileIndexer(self.k)
+        return self._indexer
 
     @property
     def kappa(self) -> int:
-        return prod(self.k)
+        return self._indexer.kappa
 
     def payoff_vector(self, i: int) -> np.ndarray:
         if not 1 <= i <= self.n:
@@ -168,13 +225,17 @@ class GameSpec:
         labels = doc.get("labels")
         if labels is not None:
             labels = tuple(tuple(names) for names in labels)
-        return cls(k=tuple(k), payoffs=np.array(doc["payoffs"], dtype=float),
+        return cls(k=tuple(k), payoffs=numeric_table(doc["payoffs"], "payoffs"),
                    labels=labels)
 
     @classmethod
     def load(cls, path) -> "GameSpec":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        """Game from a JSON file; every error names the file."""
+        doc = read_json(path)
+        try:
+            return cls.from_json(doc)
+        except ZDKitError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
 
     def save(self, path):
         with open(path, "w") as fh:

@@ -363,3 +363,94 @@ def test_simulate_out_of_memory_exits_two(extortion_game_file, tmp_path,
                 "--steps", str(10 ** 14)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _network_doc():
+    return {"nodes": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]],
+            "base_game": {"k": 2, "payoff_bimatrix": [[3, 0], [5, 1]]}}
+
+
+def _bad_network(case):
+    doc = _network_doc()
+    if case == "malformed_json":
+        return '{"nodes": ["a", "b"'
+    if case == "node_not_scalar":
+        doc["nodes"][1] = ["b"]
+        doc["edges"] = [["a", ["b"]], [["b"], "c"]]
+    elif case == "edge_three_ends":
+        doc["edges"][0] = ["a", "b", "c"]
+    elif case == "payoff_not_numeric":
+        doc["base_game"]["payoff_bimatrix"][1][0] = "five"
+    elif case == "payoff_numeric_string":
+        doc["base_game"]["payoff_bimatrix"][1][0] = "5"
+    elif case == "payoff_missing":
+        del doc["base_game"]["payoff_bimatrix"]
+    elif case == "duplicate_node":
+        doc["nodes"] = ["a", "b", "a", "c"]
+    return json.dumps(doc)
+
+
+# each bad network file, with what its error message must name
+BAD_NETWORK = {
+    "malformed_json": "line 1",
+    "node_not_scalar": "['b']",
+    "edge_three_ends": "['a', 'b', 'c']",
+    "payoff_not_numeric": "payoff_bimatrix: entry in row 2, column 1",
+    "payoff_numeric_string": "payoff_bimatrix: entry in row 2, column 1",
+    "payoff_missing": "base_game.payoff_bimatrix",
+    "duplicate_node": "duplicate node 'a'",
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_NETWORK))
+def test_neg_bad_network_file_exits_two(tmp_path, capsys, case):
+    path = tmp_path / "net.json"
+    path.write_text(_bad_network(case))
+    code = run(["neg", "--network", str(path), "--node", "b",
+                "--relation", "pin:target=2,value=2,row=1,mu=auto",
+                "--random-opponents", "0", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(path) in err and BAD_NETWORK[case] in err
+
+
+def test_verify_opponents_file_missing_player_exits_two(pinning_game_file,
+                                                        tmp_path, capsys):
+    assignment = tmp_path / "a.json"
+    assert run(["design", "--game", pinning_game_file, "--player", "2",
+                "--relation", "pin:target=1,value=4,row=1,mu=0.1",
+                "--out", str(assignment)]) == 0
+    rng = np.random.default_rng(53)
+    path = tmp_path / "opponents.json"
+    path.write_text(json.dumps({"rules": {"1": _interior_rows(rng, 2)}}))
+    code = run(["verify", "--game", pinning_game_file, "--assignment",
+                str(assignment), "--opponents", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "players [3]" in err
+
+
+def test_analyze_rejects_numeric_strings(tmp_path, capsys):
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"rules": {"1": [["0.5", "0.5"], ["0.5", "0.5"]]}}))
+    assert run(["analyze", "--rules", str(rules)]) == 2
+    err = capsys.readouterr().err
+    assert str(rules) in err and "player 1" in err and "'0.5'" in err
+    mat = tmp_path / "L.json"
+    mat.write_text(json.dumps({"matrix": [[0.9, 0.5], [0.1, "0.5"]]}))
+    assert run(["analyze", "--matrix", str(mat)]) == 2
+    err = capsys.readouterr().err
+    assert str(mat) in err and "row 2, column 2" in err and "'0.5'" in err
+
+
+@pytest.mark.parametrize("entry", ["x", "4"], ids=["word", "numeric_string"])
+def test_design_game_payoff_not_a_number_exits_two(tmp_path, capsys, entry):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"players": 2, "strategy_counts": [2, 2],
+                                "payoffs": [[1, 2, 3, entry], [1, 2, 3, 4]]}))
+    code = run(["design", "--game", str(path), "--player", "1",
+                "--relation", "pin:target=2,value=2,row=1,mu=auto"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "payoffs: entry in row 1, column 4" in err

@@ -310,3 +310,137 @@ def test_effectiveness_reports_stationary_residual(extortion_game):
                  3: random_interior_rule(rng, 3, 2, 12)}
     doc = verify_effectiveness(extortion_game, a, opponents).to_json()
     assert doc["effective"] and doc["stationary_residual"] < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Vectorised feasible_mu_interval and rationality_check against the per-entry
+# loops they replaced, kept here as references.
+
+
+def loop_feasible_mu_interval(game, i, j, relation):
+    w = relation.row(game)
+    xi = game.indexer.xi(i, j)
+    lo, hi = -np.inf, np.inf
+    for ws, xs in zip(w, xi):
+        if ws == 0.0:
+            continue
+        a, b = -xs / ws, (1.0 - xs) / ws
+        if a > b:
+            a, b = b, a
+        lo, hi = max(lo, a), min(hi, b)
+    return lo, hi
+
+
+def loop_rationality(assignment, tol=1e-12):
+    row_viol = []
+    worst = 0.0
+    total = np.zeros(assignment.kappa)
+    for d in assignment.designed_rows:
+        total += d.row
+        for s in range(assignment.kappa):
+            v = d.row[s]
+            excess = max(-v, v - 1.0)
+            if excess > tol:
+                row_viol.append((d.strategy, s + 1, float(v)))
+                worst = max(worst, excess)
+    sum_viol = []
+    for s in range(assignment.kappa):
+        excess = max(-total[s], total[s] - 1.0)
+        if excess > tol:
+            sum_viol.append((s + 1, float(total[s])))
+            worst = max(worst, excess)
+    return (not row_viol and not sum_viol, worst, row_viol, sum_viol)
+
+
+def same_float(a, b):
+    """Equal, and equal in the sign of zero too."""
+    return a == b and np.copysign(1.0, a) == np.copysign(1.0, b)
+
+
+# (seed, k, int_payoffs)
+DESIGN_CORPUS = [(seed, *case) for seed, case in enumerate(itertools.product(
+    [(2, 2), (3, 2), (2, 3, 2), (4, 3), (2, 2, 4), (3, 3, 3)], (True, False)))]
+
+
+def check_against_loops(game, designer, specs):
+    """Compare both checks with their loops for one designer's relations.
+
+    specs lists (row, relation); each designed row gets mu from its interval
+    scaled to land inside, at and past the bounds.
+    """
+    intervals = {}
+    for j, rel in specs:
+        lo, hi = feasible_mu_interval(game, designer, j, rel)
+        ref_lo, ref_hi = loop_feasible_mu_interval(game, designer, j, rel)
+        assert same_float(lo, ref_lo) and same_float(hi, ref_hi)
+        intervals[j] = (lo, hi)
+    verdicts = set()
+    for scale in (0.5, 1.0, 3.0, -2.0):
+        designed = {}
+        for j, rel in specs:
+            lo, hi = intervals[j]
+            mu = scale * (hi if hi > -lo else lo)
+            if not np.isfinite(mu) or mu == 0.0:
+                mu = scale * 0.1
+            designed[j] = DesignedRow(j, rel, mu,
+                                      design_row(game, designer, j, rel, mu))
+        a = ZDAssignment(designer=designer, k=game.k[designer - 1],
+                         kappa=game.kappa, designed=designed)
+        report = rationality_check(a)
+        verdict, worst, row_viol, sum_viol = loop_rationality(a)
+        assert report.verdict == verdict
+        assert report.worst_margin == worst
+        assert report.row_violations == row_viol
+        assert report.sum_violations == sum_viol
+        assert report.to_json() == {
+            "rational": verdict, "worst_margin": worst,
+            "row_violations": [list(v) for v in row_viol],
+            "sum_violations": [list(v) for v in sum_viol]}
+        verdicts.add(verdict)
+    return verdicts
+
+
+@pytest.mark.parametrize("seed,k,int_payoffs", DESIGN_CORPUS)
+def test_vectorised_design_checks_match_loop_references(seed, k, int_payoffs):
+    rng = np.random.default_rng([seed, 63])
+    n, kappa = len(k), int(np.prod(k))
+
+    def draw(size, low, high):
+        return (rng.integers(low, high + 1, size=size).astype(float) if int_payoffs
+                else rng.uniform(low, high, size=size))
+
+    payoffs = draw((n, kappa), -4, 4)
+    game = GameSpec(k=k, payoffs=payoffs)
+    ix = game.indexer
+    verdicts = set()
+    for designer in range(1, n + 1):
+        # every row but the last, each a pin at a payoff the target really
+        # collects (zeros in w), then a general relation on the same rows
+        rows = list(range(1, k[designer - 1]))
+        specs = []
+        for j in rows:
+            target = int(rng.integers(1, n + 1))
+            value = float(payoffs[target - 1, int(rng.integers(kappa))])
+            specs.append((j, LinearRelation.pinning(n, target, value)))
+        verdicts |= check_against_loops(game, designer, specs)
+        coeffs = tuple(rng.integers(-2, 3, n) + 0.5)
+        verdicts |= check_against_loops(
+            game, designer, [(j, LinearRelation(coeffs, 1.0)) for j in rows])
+        # a pin with a rational range: the target's payoff is below the pin
+        # where the designer plays row 1 and above it elsewhere
+        target = designer % n + 1
+        shaped = payoffs.copy()
+        own = ix.xi(designer, 1) == 1.0
+        shaped[target - 1] = 2.0 + np.where(own, -draw(kappa, 1, 3),
+                                            draw(kappa, 1, 3))
+        verdicts |= check_against_loops(
+            GameSpec(k=k, payoffs=shaped), designer,
+            [(1, LinearRelation.pinning(n, target, 2.0))])
+    assert verdicts == {True, False}
+
+
+def test_relation_rejects_non_finite_values():
+    with pytest.raises(DomainError):
+        LinearRelation((1.0, float("nan")))
+    with pytest.raises(DomainError):
+        LinearRelation((1.0, 0.0), float("inf"))

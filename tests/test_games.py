@@ -168,3 +168,89 @@ def test_gamespec_json_roundtrip(tmp_path, pinning_game):
 def test_gamespec_json_missing_field():
     with pytest.raises(ValidationError):
         GameSpec.from_json({"players": 2, "strategy_counts": [2, 2]})
+
+
+# ---------------------------------------------------------------------------
+# phi/xi by index arithmetic against the decode-every-profile versions they
+# replaced, kept here as references.
+
+
+def decode_phi(ix, i, j):
+    return tuple(s for s in range(1, ix.kappa + 1) if ix.decode(s)[i - 1] == j)
+
+
+def decode_xi(ix, i, j):
+    row = np.zeros(ix.kappa)
+    row[[s - 1 for s in decode_phi(ix, i, j)]] = 1.0
+    return row
+
+
+PHI_SHAPES = [(2, 2), (3, 2), (2, 3, 2), (4, 3), (2, 2, 2, 2), (3, 4, 2),
+              (4, 4, 4), (2, 7), (5, 2, 3)]
+
+
+@pytest.mark.parametrize("k", PHI_SHAPES, ids=str)
+def test_phi_xi_match_decode_references(k):
+    ix = kappa_params(k)
+    for i in range(1, ix.n + 1):
+        for j in range(1, k[i - 1] + 1):
+            phi = ix.phi(i, j)
+            assert phi == decode_phi(ix, i, j)
+            assert all(type(s) is int for s in phi)
+            xi = ix.xi(i, j)
+            assert xi.dtype == np.float64 and xi.shape == (ix.kappa,)
+            np.testing.assert_array_equal(xi, decode_xi(ix, i, j))
+
+
+def test_phi_xi_reject_bad_pairs():
+    ix = kappa_params([2, 3])
+    for i, j in [(0, 1), (3, 1), (2, 4), (1, 0)]:
+        with pytest.raises(DomainError):
+            ix.phi(i, j)
+        with pytest.raises(DomainError):
+            ix.xi(i, j)
+
+
+def test_gamespec_builds_its_indexer_once(monkeypatch, pinning_game):
+    from zdkit.games import ProfileIndexer
+
+    builds = []
+    original = ProfileIndexer.__post_init__
+
+    def counting(self):
+        builds.append(self)
+        original(self)
+
+    monkeypatch.setattr(ProfileIndexer, "__post_init__", counting)
+    game = GameSpec(k=(2, 3, 2), payoffs=PINNING_PAYOFFS)
+    assert len(builds) == 1
+    for i in range(1, 4):
+        game.indexer.phi(i, 1)
+        game.indexer.xi(i, 2)
+    assert game.kappa == 12 and game.indexer is game.indexer
+    assert len(builds) == 1
+
+
+NOT_TABLES = {
+    "string": "x", "empty": [], "empty_row": [[]], "ragged": [[1, 2], [3]],
+    "row_not_list": [[1, 2], 3], "numeric_string": [[1, "2"]],
+    "null": [[1, None]], "bool": [[1, True]], "nan": [[1, float("nan")]],
+    "inf": [[1, float("inf")]], "huge_int": [[10 ** 400]],
+}
+
+
+@pytest.mark.parametrize("bad", list(NOT_TABLES.values()), ids=list(NOT_TABLES))
+def test_numeric_table_rejects(bad):
+    from zdkit.games import numeric_table
+
+    with pytest.raises(ValidationError, match="^where"):
+        numeric_table(bad, "where")
+
+
+def test_numeric_table_accepts_ints_and_floats():
+    from zdkit.games import numeric_table
+
+    # np.float64 is a float: tables from to_json() pass without a JSON trip
+    m = numeric_table([[1, 0.5], [np.float64(2.0), 3]], "where")
+    assert m.dtype == np.float64
+    np.testing.assert_array_equal(m, [[1, 0.5], [2, 3]])

@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import numpy as np
@@ -173,3 +174,131 @@ def test_network_json_roundtrip(tmp_path):
     assert loaded.nodes == net.nodes
     assert loaded.edges == net.edges
     np.testing.assert_array_equal(loaded.base_payoff, net.base_payoff)
+
+
+# ---------------------------------------------------------------------------
+# The indexed network against the linear-scan and per-entry loop versions it
+# replaced, kept here as references.
+
+
+def scan_neighbors(net, node):
+    out = []
+    for u, v in net.edges:
+        if u == node:
+            out.append(v)
+        elif v == node:
+            out.append(u)
+    return tuple(out)
+
+
+def scan_validate(nodes, edges):
+    """The old per-edge checks: the first failing message, or None."""
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            return f"self-loop at node {u!r}"
+        if u not in nodes or v not in nodes:
+            return f"edge ({u!r}, {v!r}) references unknown node"
+        key = frozenset((u, v))
+        if key in seen:
+            return f"duplicate edge ({u!r}, {v!r})"
+        seen.add(key)
+    return None
+
+
+def loop_reduce_payoffs(net, node):
+    deg = len(scan_neighbors(net, node))
+    counts = opponent_strategy_set(net.k, deg)
+    m = len(counts)
+    pay = net.base_payoff
+    v_focal = np.empty(net.k * m)
+    v_fop = np.empty(net.k * m)
+    for a in range(net.k):
+        for t, d in enumerate(counts):
+            d = np.asarray(d, dtype=float)
+            v_focal[a * m + t] = d @ pay[a, :]
+            v_fop[a * m + t] = d @ pay[:, a]
+    return np.vstack([v_focal, v_fop])
+
+
+def random_network(rng, n, p, k, str_ids, int_payoffs):
+    ids = [f"v{i}" for i in range(n)] if str_ids else list(range(n))
+    ids = [ids[i] for i in rng.permutation(n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+    pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+    # each edge in either orientation, so neighbour order is exercised both ways
+    edges = tuple((ids[a], ids[b]) if rng.random() < 0.5 else (ids[b], ids[a])
+                  for a, b in pairs)
+    pay = (rng.integers(-5, 6, size=(k, k)).astype(float) if int_payoffs
+           else rng.uniform(-3.0, 3.0, size=(k, k)))
+    return tuple(ids), edges, pay
+
+
+# (seed, k, str_ids, int_payoffs)
+NETWORK_CORPUS = [(seed, *case) for seed, case in enumerate(
+    itertools.product((2, 3, 4), (False, True), (True, False)))]
+
+
+@pytest.mark.parametrize("seed,k,str_ids,int_payoffs", NETWORK_CORPUS)
+def test_indexed_network_matches_scan_references(seed, k, str_ids, int_payoffs):
+    rng = np.random.default_rng([seed, 61])
+    nodes, edges, pay = random_network(rng, 14, 0.35, k, str_ids, int_payoffs)
+    net = NetworkGame(nodes=nodes, edges=edges, base_payoff=pay)
+    assert net.edges == edges
+    for node in nodes:
+        assert net.neighbors(node) == scan_neighbors(net, node)
+        assert net.degree(node) == len(scan_neighbors(net, node))
+        if net.degree(node) == 0:
+            continue
+        got = reduce_to_fop(net, node).game.payoffs
+        want = loop_reduce_payoffs(net, node)
+        if int_payoffs:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_network_errors_match_scan_reference(seed):
+    rng = np.random.default_rng([seed, 62])
+    nodes, edges, _ = random_network(rng, 10, 0.4, 2, seed % 2 == 0, True)
+    edges = list(edges)
+    u, v = edges[int(rng.integers(len(edges)))]
+    ghost = "ghost" if seed % 2 == 0 else 99
+    faults = [(u, u), (v, u), (u, v), (u, ghost), (ghost, v), (ghost, ghost)]
+    # one fault, then two at once; the first failing edge decides the message
+    for extra in [[f] for f in faults] + [[faults[a], faults[b]] for a, b in
+                                         rng.integers(len(faults), size=(6, 2))]:
+        bad = list(edges)
+        for fault in extra:
+            bad.insert(int(rng.integers(len(bad) + 1)), fault)
+        want = scan_validate(nodes, bad)
+        with pytest.raises(ValidationError) as exc:
+            NetworkGame(nodes=nodes, edges=tuple(bad), base_payoff=PD)
+        assert str(exc.value) == want
+
+
+def test_network_rejects_duplicate_nodes():
+    with pytest.raises(ValidationError, match="duplicate node 'A'"):
+        NetworkGame(nodes=("A", "B", "A"), edges=(("A", "B"),), base_payoff=PD)
+
+
+def test_large_ring_loads_in_linear_time(tmp_path):
+    # checking each edge end against the node tuple is O(N*E): several
+    # seconds at this size; the one-pass index is linear
+    import json
+    import time
+
+    n = 20000
+    ids = [f"n{i}" for i in range(n)]
+    doc = {"nodes": ids, "edges": [[ids[i], ids[(i + 1) % n]] for i in range(n)],
+           "base_game": {"k": 2, "payoff_bimatrix": PD.tolist()}}
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    net = NetworkGame.load(path)
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert all(net.degree(v) == 2 for v in ids)
+    assert net.neighbors("n0") == ("n1", f"n{n - 1}")
+    assert time.perf_counter() - start < 1.0
