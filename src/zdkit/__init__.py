@@ -5,65 +5,29 @@ multiply them into the profile transition matrix, design rule rows that pin
 or extort opponents' stationary payoffs, then check rationality and verify
 effectiveness analytically and by simulation.  Networked games reduce to a
 focal player against a fictitious aggregated opponent.
+
+The names below are the ones the pipeline's modules use from each other and
+the README quickstart uses; everything else is reached through its module.
 """
 
 from .design import (
-    DesignedRow,
-    EffectivenessReport,
     LinearRelation,
-    RationalityReport,
     ZDAssignment,
+    assemble,
     design_extortion,
-    design_pinning,
-    design_row,
-    feasible_mu_interval,
     rationality_check,
     verify_effectiveness,
-    xi_sum_identity,
 )
 from .errors import (
     AnalysisError,
-    CapacityError,
-    ConsistencyError,
     DimensionError,
     DomainError,
     ValidationError,
     ZDKitError,
 )
-from .games import GameSpec, ProfileIndexer, kappa_params, payoff_eval
-from .markov import (
-    MarkovReport,
-    PowerLimit,
-    StrategyRule,
-    TransitionMatrix,
-    adjugate,
-    analyze,
-    build_pee,
-    build_rule,
-    is_primitive,
-    nullspace_stationary,
-    power_iteration_stationary,
-    power_limit,
-    rank_defect,
-    stationary_distribution,
-)
-from .montecarlo import Trajectory, compare_empirical_vs_exact, simulate
-from .network import (
-    FOPGame,
-    NetworkGame,
-    fop_extortion,
-    fop_pinning,
-    opponent_strategy_set,
-    reduce_to_fop,
-)
-from .stp import (
-    delta,
-    is_column_stochastic,
-    is_logical,
-    khatri_rao,
-    logical_matrix,
-    stp,
-    structure_matrix,
-)
+from .games import GameSpec
+from .markov import StrategyRule, analyze, build_pee, build_rule
+from .montecarlo import compare_empirical_vs_exact, simulate
+from .network import NetworkGame, reduce_to_fop
 
 __version__ = "0.1.0"

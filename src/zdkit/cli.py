@@ -8,6 +8,7 @@ on stderr-free stdout).  Exit codes are a stable contract: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -17,9 +18,7 @@ import numpy as np
 from .design import (
     LinearRelation,
     ZDAssignment,
-    design_row,
-    DesignedRow,
-    feasible_mu_interval,
+    assemble,
     rationality_check,
     verify_effectiveness,
 )
@@ -49,72 +48,57 @@ def _parse_kv(body: str) -> dict:
     return out
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def parse_relation_spec(spec: str, game: GameSpec, designer: int):
-    """Parse one --relation string into (row_index, LinearRelation, mu_or_auto).
+    """Parse one --relation string into (row_index, LinearRelation, mu).
 
     Forms:
       pin:target=M,value=R,row=J,mu=MU
       extort:target=M,factor=CHI,r=R,row=J,mu=MU
       lin:coeffs=A1:A2:...:AN,constant=A0,row=J,mu=MU
-    mu may be the literal 'auto' to take the midpoint of the feasible interval.
+    mu may be the literal 'auto' (returned as None) to take the midpoint of
+    the feasible interval.  Errors name the spec and the field.
     """
     if ":" not in spec:
         raise ValidationError(f"relation spec {spec!r} missing 'kind:' prefix")
     kind, body = spec.split(":", 1)
     fields = _parse_kv(body)
+
+    def field(key, convert=_finite, what="a finite number"):
+        if key not in fields:
+            raise ValidationError(f"relation spec {spec!r} missing field '{key}'")
+        try:
+            return convert(fields[key])
+        except ValueError:
+            raise ValidationError(f"relation spec {spec!r}: field "
+                                  f"{key}={fields[key]!r} is not {what}") from None
+
+    row = field("row", int, "an integer")
+    mu = None if fields.get("mu", "auto") == "auto" else field("mu")
     try:
-        row = int(fields["row"])
-        mu = fields.get("mu", "auto")
         if kind == "pin":
             relation = LinearRelation.pinning(
-                game.n, int(fields["target"]), float(fields["value"])
-            )
+                game.n, field("target", int, "an integer"), field("value"))
         elif kind == "extort":
             relation = LinearRelation.extortion(
-                game.n, designer, int(fields["target"]),
-                float(fields["factor"]), float(fields["r"]),
-            )
+                game.n, designer, field("target", int, "an integer"),
+                field("factor"), field("r"))
         elif kind == "lin":
-            coeffs = tuple(float(v) for v in fields["coeffs"].split(":"))
-            relation = LinearRelation(coeffs, float(fields.get("constant", 0.0)))
+            coeffs = field("coeffs", lambda t: tuple(map(_finite, t.split(":"))),
+                           "a list of finite numbers")
+            relation = LinearRelation(
+                coeffs, field("constant") if "constant" in fields else 0.0)
         else:
             raise ValidationError(f"unknown relation kind {kind!r}")
-    except KeyError as exc:
-        raise ValidationError(f"relation spec {spec!r} missing field {exc}") from exc
-    mu_val = None if mu == "auto" else float(mu)
-    return row, relation, mu_val
-
-
-def _resolve_mu(game: GameSpec, designer: int, row: int,
-                relation: LinearRelation, mu) -> float:
-    if mu is not None:
-        if mu == 0.0:
-            raise DomainError("mu must be nonzero")
-        return mu
-    lo, hi = feasible_mu_interval(game, designer, row, relation)
-    # prefer the larger half, staying away from the excluded point 0
-    candidate = hi / 2.0 if hi > -lo else lo / 2.0
-    if candidate == 0.0:
-        raise DomainError(
-            f"feasible mu interval [{lo:.6g}, {hi:.6g}] for row {row} contains "
-            f"only the excluded point 0; no rational design exists"
-        )
-    return candidate
-
-
-def build_assignment(game: GameSpec, designer: int, specs) -> ZDAssignment:
-    designed = {}
-    for spec in specs:
-        row, relation, mu = parse_relation_spec(spec, game, designer)
-        mu = _resolve_mu(game, designer, row, relation, mu)
-        if row in designed:
-            raise ValidationError(f"row {row} designed twice")
-        designed[row] = DesignedRow(
-            strategy=row, relation=relation, mu=mu,
-            row=design_row(game, designer, row, relation, mu),
-        )
-    return ZDAssignment(designer=designer, k=game.k[designer - 1],
-                        kappa=game.kappa, designed=designed)
+    except DomainError as exc:
+        raise ValidationError(f"relation spec {spec!r}: {exc}") from None
+    return row, relation, mu
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +184,8 @@ def _render_table(doc: dict, indent: str = ""):
 
 def cmd_design(args) -> int:
     game = GameSpec.load(args.game)
-    assignment = build_assignment(game, args.player, args.relation)
+    assignment = assemble(game, args.player, (
+        parse_relation_spec(spec, game, args.player) for spec in args.relation))
     report = rationality_check(assignment)
     doc = assignment.to_json()
     doc["rationality"] = report.to_json()
@@ -210,7 +195,7 @@ def cmd_design(args) -> int:
 
 def cmd_verify(args) -> int:
     game = GameSpec.load(args.game)
-    assignment = ZDAssignment.from_json(read_json(args.assignment))
+    assignment = ZDAssignment.load(args.assignment, game)
     trials = []
     if args.opponents:
         rules = _load_rules(args.opponents, game)
@@ -261,7 +246,7 @@ def cmd_simulate(args) -> int:
     game = GameSpec.load(args.game)
     rules = _load_rules(args.rules, game)
     if args.assignment:
-        assignment = ZDAssignment.from_json(read_json(args.assignment))
+        assignment = ZDAssignment.load(args.assignment, game)
         rules[assignment.designer] = assignment.as_rule()
     missing = [p for p in range(1, game.n + 1) if p not in rules]
     if missing:
@@ -285,7 +270,8 @@ def cmd_neg(args) -> int:
     if node not in net.adjacency and node.isdigit() and int(node) in net.adjacency:
         node = int(node)
     fop = reduce_to_fop(net, node)
-    assignment = build_assignment(fop.game, designer=1, specs=args.relation)
+    assignment = assemble(fop.game, 1, (
+        parse_relation_spec(spec, fop.game, 1) for spec in args.relation))
     rationality = rationality_check(assignment)
     rng = np.random.default_rng(args.seed)
     reports = []
@@ -319,7 +305,9 @@ def cmd_neg(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The zdkit argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="zdkit",
         description="Design and verify payoff-controlling strategies "

@@ -7,6 +7,8 @@ rule:
     p_{i,j} = mu * (sum_m a_m V_m + a_0 * 1) + xi_{i,j},   mu != 0,
 
 where xi_{i,j} is the 0/1 indicator of profiles in which player i plays j.
+assemble is the one place that turns (row, relation, mu) triples into
+designed rows; the pinning and extortion designers and the CLI all call it.
 The mechanism: summing the rows of L - I over those profiles gives exactly
 p_{i,j} - xi_{i,j} (the row-sum identity), and every row of L - I annihilates
 the stationary vector, so the relation is forced to hold whenever the chain
@@ -23,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError, DomainError
-from .games import GameSpec
+from .errors import DimensionError, DomainError, ValidationError
+from .games import GameSpec, numeric_table, read_json
 from .markov import (
     POSITIVITY_TOL,
     StrategyRule,
@@ -35,6 +37,11 @@ from .markov import (
 )
 
 RESIDUAL_TOL = 1e-8
+
+
+def _check_player(n: int, p: int, role: str):
+    if not 1 <= p <= n:
+        raise DomainError(f"{role} player {p} outside 1..{n}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,7 @@ class LinearRelation:
     @classmethod
     def pinning(cls, n: int, target: int, value: float) -> "LinearRelation":
         """E[c_target] = value."""
+        _check_player(n, target, "target")
         coeffs = [0.0] * n
         coeffs[target - 1] = 1.0
         return cls(tuple(coeffs), -float(value))
@@ -64,6 +72,8 @@ class LinearRelation:
     def extortion(cls, n: int, designer: int, target: int, factor: float,
                   reference: float) -> "LinearRelation":
         """E[c_designer] - r = factor * (E[c_target] - r)."""
+        _check_player(n, designer, "designer")
+        _check_player(n, target, "target")
         if designer == target:
             raise DomainError("extortion target must differ from the designer")
         coeffs = [0.0] * n
@@ -189,6 +199,41 @@ class ZDAssignment:
         return cls(designer=int(doc["designer"]), k=k, kappa=kappa,
                    designed=designed, fixed=fixed)
 
+    @classmethod
+    def load(cls, path, game: GameSpec) -> "ZDAssignment":
+        """Assignment for game from a JSON file; every error names the file.
+
+        designer must be a player of game, rows a (k_designer, kappa) table
+        of numbers, and each relation must have one coefficient per player.
+        """
+        doc = read_json(path)
+        if not isinstance(doc, dict):
+            raise ValidationError(f"{path}: assignment file must hold a JSON object")
+        for key in ("designer", "relations", "rows"):
+            if key not in doc:
+                raise ValidationError(f"{path}: missing required field '{key}'")
+        designer = doc["designer"]
+        if type(designer) is not int or not 1 <= designer <= game.n:
+            raise ValidationError(
+                f"{path}: designer {designer!r} is not a player in 1..{game.n}")
+        rows = numeric_table(doc["rows"], f"{path}: rows")
+        expected = (game.k[designer - 1], game.kappa)
+        if rows.shape != expected:
+            raise ValidationError(
+                f"{path}: rows have shape {rows.shape}, expected {expected} "
+                f"(the designer's strategies x profiles)")
+        try:
+            assignment = cls.from_json({**doc, "rows": rows})
+        except (LookupError, TypeError, ValueError) as exc:
+            what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise ValidationError(f"{path}: bad 'relations' entry: {what}") from None
+        for d in assignment.designed_rows:
+            if len(d.relation.coeffs) != game.n:
+                raise ValidationError(
+                    f"{path}: relation of row {d.strategy} has "
+                    f"{len(d.relation.coeffs)} coefficients for {game.n} players")
+        return assignment
+
 
 def design_row(game: GameSpec, i: int, j: int, relation: LinearRelation,
                mu: float) -> np.ndarray:
@@ -200,48 +245,52 @@ def design_row(game: GameSpec, i: int, j: int, relation: LinearRelation,
     return mu * relation.row(game) + indexer.xi(i, j)
 
 
-def _assemble(game: GameSpec, i: int, specs) -> ZDAssignment:
+def assemble(game: GameSpec, designer: int, rows) -> ZDAssignment:
+    """The designer's assignment from (j, relation, mu) triples, one per row.
+
+    Every designed row is built here.  mu=None takes the midpoint of the
+    larger half of the feasible mu interval, away from the excluded 0.
+    """
     designed = {}
-    for j, relation, mu in specs:
+    for j, relation, mu in rows:
         if j in designed:
             raise DomainError(f"row {j} designed twice")
+        if mu is None:
+            lo, hi = feasible_mu_interval(game, designer, j, relation)
+            mu = hi / 2.0 if hi > -lo else lo / 2.0
+            if mu == 0.0:
+                raise DomainError(
+                    f"feasible mu interval [{lo:.6g}, {hi:.6g}] for row {j} "
+                    f"contains only the excluded point 0; no rational design "
+                    f"exists")
         designed[j] = DesignedRow(
             strategy=j, relation=relation, mu=mu,
-            row=design_row(game, i, j, relation, mu),
+            row=design_row(game, designer, j, relation, mu),
         )
-    return ZDAssignment(designer=i, k=game.k[i - 1], kappa=game.kappa,
-                        designed=designed)
+    return ZDAssignment(designer=designer, k=game.k[designer - 1],
+                        kappa=game.kappa, designed=designed)
 
 
 def design_pinning(game: GameSpec, i: int, target: int, value: float,
-                   mu: float, row: int = 1) -> ZDAssignment:
+                   mu: float | None, row: int = 1) -> ZDAssignment:
     """Pin E[c_target] to a constant via one designed row of player i."""
-    if not 1 <= target <= game.n:
-        raise DomainError(f"target player {target} outside 1..{game.n}")
     relation = LinearRelation.pinning(game.n, target, value)
-    assignment = _assemble(game, i, [(row, relation, mu)])
-    return assignment
+    return assemble(game, i, [(row, relation, mu)])
 
 
 def design_extortion(game: GameSpec, i: int, reference: float, targets: dict,
                      mus: dict, rows: dict | None = None) -> ZDAssignment:
     """Enforce E[c_i] - r = factor * (E[c_m] - r) for each target m.
 
-    targets maps opponent -> extortion factor; mus maps opponent -> mu; rows
-    (optional) maps opponent -> designed row index, defaulting to 1, 2, ...
+    targets maps opponent -> extortion factor; mus maps opponent -> mu (None
+    for auto); rows (optional) maps opponent -> designed row index,
+    defaulting to 1, 2, ...
     """
-    if len(targets) > game.k[i - 1] - 1:
-        raise DomainError(
-            f"player {i} can design at most {game.k[i - 1] - 1} relations, "
-            f"got {len(targets)}"
-        )
     if rows is None:
         rows = {m: idx for idx, m in enumerate(sorted(targets), start=1)}
-    specs = []
-    for m, factor in targets.items():
-        relation = LinearRelation.extortion(game.n, i, m, factor, reference)
-        specs.append((rows[m], relation, mus[m]))
-    return _assemble(game, i, specs)
+    return assemble(game, i, [
+        (rows[m], LinearRelation.extortion(game.n, i, m, factor, reference), mus[m])
+        for m, factor in targets.items()])
 
 
 @dataclass(frozen=True)
@@ -306,33 +355,6 @@ def feasible_mu_interval(game: GameSpec, i: int, j: int,
     return float(lo), float(hi)
 
 
-def xi_sum_identity(rules, i: int, j: int, tol: float = 1e-9) -> np.ndarray:
-    """Sum of rows of L - I over the profiles where player i plays j.
-
-    Asserts the row-sum identity: the result equals row j of player i's rule
-    minus the 0/1 indicator of those profiles.  A violation means the profile
-    ordering is inconsistent somewhere upstream.
-    """
-    from .games import ProfileIndexer
-
-    rules = list(rules)
-    indexer = ProfileIndexer(tuple(r.k for r in rules))
-    if not 1 <= i <= len(rules):
-        raise DomainError(f"player {i} outside 1..{len(rules)}")
-    L = build_pee(rules).matrix
-    M = L - np.eye(indexer.kappa)
-    members = [s - 1 for s in indexer.phi(i, j)]
-    xi_sum = M[members].sum(axis=0)
-    expected = rules[i - 1].matrix[j - 1] - indexer.xi(i, j)
-    err = float(np.max(np.abs(xi_sum - expected)))
-    if err > tol:
-        raise ConsistencyError(
-            f"row-sum identity violated for player {i}, strategy {j} "
-            f"(max error {err:.3e}); check the profile ordering"
-        )
-    return xi_sum
-
-
 @dataclass(frozen=True)
 class EffectivenessReport:
     rational: bool
@@ -387,7 +409,7 @@ def verify_effectiveness(game: GameSpec, assignment: ZDAssignment,
             rules.append(r)
     L = build_pee(rules)
     rational = rationality_check(assignment).verdict
-    if np.any(L.matrix < -POSITIVITY_TOL):
+    if np.any(L < -POSITIVITY_TOL):
         return EffectivenessReport(
             rational=rational, effective=False, limit_ok=None, rank_ok=None,
             expected_payoffs=None, residuals=None, stationary_residual=None,

@@ -23,7 +23,6 @@ from math import prod
 import numpy as np
 
 from .errors import DimensionError, DomainError, ValidationError, ZDKitError
-from .stp import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -95,17 +94,6 @@ class ProfileIndexer:
         """Sorted indices of all profiles where player i plays strategy j."""
         return tuple((np.flatnonzero(self._plays(i, j)) + 1).tolist())
 
-    def phi_arithmetic(self, i: int, j: int) -> tuple:
-        """Same set via the closed-form index arithmetic (cross-check path)."""
-        self._check_pair(i, j)
-        up = self.kappa_upper[i]
-        block = self.k[i - 1] * up
-        out = []
-        for alpha in range(1, self.kappa_lower[i - 1] + 1):
-            base = (alpha - 1) * block + (j - 1) * up
-            out.extend(base + beta for beta in range(1, up + 1))
-        return tuple(sorted(out))
-
     def xi(self, i: int, j: int) -> np.ndarray:
         """0/1 indicator row of length kappa over phi(i, j)."""
         return self._plays(i, j).astype(float)
@@ -156,10 +144,6 @@ def numeric_table(rows, what: str) -> np.ndarray:
         raise ValidationError(f"{what}: entry in row {i + 1}, column {j + 1} "
                               f"is {m[i, j]}, not a finite number")
     return m
-
-
-def kappa_params(k) -> ProfileIndexer:
-    return ProfileIndexer(tuple(k))
 
 
 @dataclass(frozen=True)
@@ -214,14 +198,19 @@ class GameSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GameSpec":
+        if not isinstance(doc, dict):
+            raise ValidationError("game file must hold a JSON object")
         for key in ("players", "strategy_counts", "payoffs"):
             if key not in doc:
                 raise ValidationError(f"game file missing required field '{key}'")
-        k = doc["strategy_counts"]
-        if int(doc["players"]) != len(k):
-            raise DomainError(
-                f"players = {doc['players']} but {len(k)} strategy counts given"
-            )
+        n, k = doc["players"], doc["strategy_counts"]
+        if type(n) is not int:  # exact type, so JSON true/false are refused
+            raise ValidationError(f"field 'players' is {n!r}, not an integer")
+        if not isinstance(k, list) or not set(map(type, k)) <= {int}:
+            raise ValidationError(
+                f"field 'strategy_counts' is {k!r}, not a list of integers")
+        if n != len(k):
+            raise DomainError(f"players = {n} but {len(k)} strategy counts given")
         labels = doc.get("labels")
         if labels is not None:
             labels = tuple(tuple(names) for names in labels)
@@ -240,16 +229,3 @@ class GameSpec:
     def save(self, path):
         with open(path, "w") as fh:
             json.dump(self.to_json(), fh, indent=2)
-
-
-def payoff_eval(game: GameSpec, i: int, x, tol: float = DEFAULT_TOL) -> float:
-    """Expected payoff V_i . x of player i under profile distribution x."""
-    v = game.payoff_vector(i)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != game.kappa:
-        raise DimensionError(
-            f"distribution length {x.shape[0]} != kappa {game.kappa}"
-        )
-    if np.any(x < -tol) or abs(x.sum() - 1.0) > max(tol, 1e-6):
-        raise DomainError("x is not a profile distribution")
-    return float(v @ x)

@@ -15,23 +15,18 @@ power limit exists iff every closed class is aperiodic (Kemeny & Snell,
 Finite Markov Chains, 1960).  The stationary vector is one LU solve of L - I
 with a row replaced by ones, reported with its residual.  The float routes
 (Wielandt primitivity loop, SVD rank defect and null space, power limit by
-squaring, power iteration, adjugate) stay as independent references.
+squaring) stay here as independent references; power iteration and the
+adjugate live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .errors import (
-    AnalysisError,
-    CapacityError,
-    DimensionError,
-    DomainError,
-    ValidationError,
-)
+from .errors import AnalysisError, DimensionError, DomainError, ValidationError
 from .stp import DEFAULT_TOL, khatri_rao
 
 # strict-positivity threshold for primitivity checks
@@ -76,20 +71,8 @@ def build_rule(player: int, probs, tol: float = DEFAULT_TOL) -> StrategyRule:
     return StrategyRule(player=player, matrix=m)
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """The profile-chain transition matrix and the rules it came from."""
-
-    matrix: np.ndarray
-    provenance: tuple = ()
-
-    @property
-    def kappa(self) -> int:
-        return self.matrix.shape[0]
-
-
-def build_pee(rules) -> TransitionMatrix:
-    """Khatri-Rao product of all players' rules, in player order."""
+def build_pee(rules) -> np.ndarray:
+    """The kappa x kappa Khatri-Rao product of the players' rules, in order."""
     rules = list(rules)
     if not rules:
         raise DimensionError("need at least one rule")
@@ -106,12 +89,10 @@ def build_pee(rules) -> TransitionMatrix:
             f"rules yield a {L.shape} matrix; strategy counts do not multiply "
             f"to the shared profile count {kappa}"
         )
-    return TransitionMatrix(matrix=L, provenance=tuple(r.player for r in rules))
+    return L
 
 
 def _matrix_of(L) -> np.ndarray:
-    if isinstance(L, TransitionMatrix):
-        return L.matrix
     m = np.asarray(L, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
@@ -149,19 +130,6 @@ def nullspace_stationary(L) -> np.ndarray:
     if abs(total) < 1e-12:
         raise AnalysisError("null-space vector has zero mass; defect likely > 1")
     return u / total
-
-
-def power_iteration_stationary(L, tol: float = 1e-14, max_iter: int = 200000):
-    """Fixed vector via repeated application of L (independent oracle)."""
-    m = _matrix_of(L)
-    x = np.full(m.shape[0], 1.0 / m.shape[0])
-    for it in range(max_iter):
-        y = m @ x
-        y /= y.sum()
-        if np.max(np.abs(y - x)) < tol:
-            return y, it + 1
-        x = y
-    raise AnalysisError(f"power iteration did not converge in {max_iter} steps")
 
 
 def check_stochastic(L, source: str = "L") -> np.ndarray:
@@ -326,28 +294,6 @@ def rank_defect(L) -> int:
     sv = np.linalg.svd(m - np.eye(kappa), compute_uv=False)
     thresh = kappa * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
     return kappa - int(np.sum(sv > thresh))
-
-
-def adjugate(M, cap: int = 64) -> np.ndarray:
-    """Adjugate (transpose of the cofactor matrix) of a small dense matrix."""
-    m = np.asarray(M, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"adjugate needs a square matrix, got {m.shape}")
-    n = m.shape[0]
-    if n > cap:
-        raise CapacityError(
-            f"adjugate cap is {cap} (got {n}); use rank_defect / "
-            f"nullspace_stationary for large chains"
-        )
-    if n == 1:
-        return np.array([[1.0]])
-    cof = np.empty((n, n))
-    rows = np.arange(n)
-    for i in range(n):
-        for j in range(n):
-            minor = m[np.ix_(rows != i, rows != j)]
-            cof[i, j] = (-1.0) ** (i + j) * np.linalg.det(minor)
-    return cof.T
 
 
 @dataclass(frozen=True)

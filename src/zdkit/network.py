@@ -20,7 +20,6 @@ from math import comb
 
 import numpy as np
 
-from .design import ZDAssignment, design_extortion, design_pinning
 from .errors import DimensionError, DomainError, ValidationError, ZDKitError
 from .games import GameSpec, numeric_table, read_json
 
@@ -196,15 +195,3 @@ def reduce_to_fop(net: NetworkGame, node) -> FOPGame:
     payoffs = np.vstack([(pay @ d).ravel(), (pay.T @ d).ravel()])
     game = GameSpec(k=(k, len(counts)), payoffs=payoffs)
     return FOPGame(focal=node, game=game, aggregate_profiles=tuple(counts))
-
-
-def fop_pinning(fop: FOPGame, value: float, mu: float, row: int = 1) -> ZDAssignment:
-    """Pin the fictitious opponent's expected payoff to a constant."""
-    return design_pinning(fop.game, i=1, target=2, value=value, mu=mu, row=row)
-
-
-def fop_extortion(fop: FOPGame, reference: float, factor: float, mu: float,
-                  row: int = 1) -> ZDAssignment:
-    """Extort the fictitious opponent: E[c_focal] - r = factor * (E[c_fop] - r)."""
-    return design_extortion(fop.game, i=1, reference=reference,
-                            targets={2: factor}, mus={2: mu}, rows={2: row})

@@ -1,19 +1,14 @@
-"""Semi-tensor product algebra on dense real matrices.
+"""The column-wise Kronecker (Khatri-Rao) product of the players' rules.
 
-The semi-tensor product (STP) generalizes the ordinary matrix product to
-arbitrary shapes: for A (m x n) and B (p x q), with t = lcm(n, p),
-
-    A |x| B = (A kron I_{t/n}) (B kron I_{t/p})
-
-which reduces to A @ B whenever n == p.  Alongside it live the column-wise
-Kronecker (Khatri-Rao) product, canonical basis vectors, structure matrices
-of finite maps, and stochastic/logical predicates.  All functions are pure
-and operate on plain numpy arrays.
+For A (m x n) and B (p x n), column j of khatri_rao(A, B) is
+kron(A[:, j], B[:, j]); the product of all players' rules in player order is
+the profile transition matrix.  The semi-tensor product algebra it comes
+from (STP, canonical vectors, structure matrices, logical and stochastic
+predicates) lives in tests/oracles.py as the reference the tests check
+against.  DEFAULT_TOL is the shared tolerance for column sums.
 """
 
 from __future__ import annotations
-
-from math import lcm
 
 import numpy as np
 
@@ -33,34 +28,6 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def delta(k: int, i: int) -> np.ndarray:
-    """Canonical basis column: the i-th column (1-based) of I_k."""
-    if not 1 <= i <= k:
-        raise DomainError(f"canonical index {i} out of range 1..{k}")
-    v = np.zeros((k, 1))
-    v[i - 1, 0] = 1.0
-    return v
-
-
-def logical_matrix(k: int, indices) -> np.ndarray:
-    """Matrix whose j-th column is delta(k, indices[j])."""
-    cols = [delta(k, i) for i in indices]
-    return np.hstack(cols)
-
-
-def stp(a, b) -> np.ndarray:
-    """Semi-tensor product of two matrices (total on all shapes)."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    n, p = a.shape[1], b.shape[0]
-    t = lcm(n, p)
-    if t == n == p:
-        return a @ b
-    left = np.kron(a, np.eye(t // n))
-    right = np.kron(b, np.eye(t // p))
-    return left @ right
-
-
 def khatri_rao(a, b) -> np.ndarray:
     """Column-wise Kronecker product; requires equal column counts."""
     a = _as_matrix(a)
@@ -72,37 +39,3 @@ def khatri_rao(a, b) -> np.ndarray:
     # einsum builds all column Kroneckers at once: out[i*t+k, j] = a[i,j]*b[k,j]
     s, t, n = a.shape[0], b.shape[0], a.shape[1]
     return np.einsum("ij,kj->ikj", a, b).reshape(s * t, n)
-
-
-def structure_matrix(images, codomain_size: int) -> np.ndarray:
-    """Logical matrix of the map j -> images[j-1] from 1..m into 1..n.
-
-    Column j of the result is delta(n, f(j)), so f(x) = M_f x in vector form.
-    """
-    images = list(images)
-    if not images:
-        raise DomainError("structure matrix of an empty map")
-    for j, v in enumerate(images, start=1):
-        if not 1 <= v <= codomain_size:
-            raise DomainError(f"image f({j}) = {v} outside 1..{codomain_size}")
-    return logical_matrix(codomain_size, images)
-
-
-def is_column_stochastic(a, tol: float = DEFAULT_TOL) -> bool:
-    """True iff all entries >= -tol and every column sums to 1 within tol."""
-    if tol < 0:
-        raise DomainError("tolerance must be nonnegative")
-    a = _as_matrix(a)
-    if np.any(a < -tol):
-        return False
-    return bool(np.all(np.abs(a.sum(axis=0) - 1.0) <= tol))
-
-
-def is_logical(a, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every column is some canonical basis vector."""
-    a = _as_matrix(a)
-    near_one = np.abs(a - 1.0) <= tol
-    near_zero = np.abs(a) <= tol
-    if not np.all(near_one | near_zero):
-        return False
-    return bool(np.all(near_one.sum(axis=0) == 1))

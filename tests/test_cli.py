@@ -454,3 +454,181 @@ def test_design_game_payoff_not_a_number_exits_two(tmp_path, capsys, entry):
     assert code == 2
     err = capsys.readouterr().err
     assert str(path) in err and "payoffs: entry in row 1, column 4" in err
+
+
+# ---------------------------------------------------------------------------
+# one design entry point: the CLI and the library build the same assignment
+
+PD_GAME = np.array([[3, 0, 5, 1], [3, 5, 0, 1]], dtype=float)
+
+
+@pytest.mark.parametrize("mu", ["0.05", "auto"])
+@pytest.mark.parametrize("kind", ["pin", "extort"])
+@pytest.mark.parametrize("command", ["design", "neg"])
+def test_cli_assignment_matches_library_design(network_file, tmp_path, command,
+                                               kind, mu):
+    from zdkit import design_extortion, reduce_to_fop
+    from zdkit.design import design_pinning
+    from test_network import fig1_network
+
+    if command == "design":
+        game = GameSpec(k=(2, 2), payoffs=PD_GAME)
+        game.save(tmp_path / "game.json")
+        out = tmp_path / "a.json"
+        argv = ["design", "--game", str(tmp_path / "game.json"),
+                "--player", "1", "--out", str(out)]
+    else:
+        game = reduce_to_fop(fig1_network(), "A").game
+        out = tmp_path / "neg" / "assignment.json"
+        argv = ["neg", "--network", network_file, "--node", "A",
+                "--random-opponents", "0", "--out", str(tmp_path / "neg")]
+    library_mu = None if mu == "auto" else float(mu)
+    if kind == "pin":
+        spec = f"pin:target=2,value=2,row=1,mu={mu}"
+        want = design_pinning(game, i=1, target=2, value=2.0, mu=library_mu)
+    else:
+        # r = 2 leaves both games a feasible mu range
+        spec = f"extort:target=2,factor=1.5,r=2,row=1,mu={mu}"
+        want = design_extortion(game, i=1, reference=2.0, targets={2: 1.5},
+                                mus={2: library_mu}, rows={2: 1})
+    assert run(argv + ["--relation", spec]) in (0, 1)
+    doc = json.loads(out.read_text())
+    doc.pop("rationality", None)
+    assert doc == json.loads(json.dumps(want.to_json()))
+
+
+# ---------------------------------------------------------------------------
+# --relation input contract on a k = (2, 2) game: (spec, field it must name)
+
+BAD_RELATIONS = {
+    "pin_target_zero": ("pin:target=0,value=2,row=1,mu=auto", "target"),
+    "extort_target_zero": ("extort:target=0,factor=1.5,r=1,row=1,mu=auto",
+                           "target"),
+    "target_past_n": ("pin:target=9,value=2,row=1,mu=auto", "target"),
+    "value_not_number": ("pin:target=2,value=abc,row=1,mu=auto", "value"),
+    "row_not_integer": ("pin:target=2,value=2,row=x,mu=auto", "row"),
+    "mu_not_number": ("pin:target=2,value=2,row=1,mu=zz", "mu"),
+    "coeffs_not_numbers": ("lin:coeffs=1:a,constant=0,row=1,mu=auto", "coeffs"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RELATIONS))
+def test_malformed_relation_field_exits_two(tmp_path, capsys, case):
+    spec, field = BAD_RELATIONS[case]
+    GameSpec(k=(2, 2), payoffs=PD_GAME).save(tmp_path / "game.json")
+    code = run(["design", "--game", str(tmp_path / "game.json"),
+                "--player", "1", "--relation", spec])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(spec) in err
+    assert field in err.split(repr(spec), 1)[1]
+
+
+# ---------------------------------------------------------------------------
+# assignment files are validated against the game, naming the file
+
+
+def _assignment_file(tmp_path):
+    game = tmp_path / "game.json"
+    GameSpec(k=(2, 2), payoffs=PD_GAME).save(game)
+    path = tmp_path / "a.json"
+    assert run(["design", "--game", str(game), "--player", "1",
+                "--relation", "pin:target=2,value=2,row=1,mu=auto",
+                "--out", str(path)]) == 0
+    return str(game), path
+
+
+# each corruption of a good assignment, with what the message must name
+BAD_ASSIGNMENTS = {
+    "rows_not_numeric": (lambda d: d["rows"][0].__setitem__(3, "x"),
+                         "rows: entry in row 1, column 4"),
+    "rows_numeric_string": (lambda d: d["rows"][0].__setitem__(3, "0.5"),
+                            "rows: entry in row 1, column 4"),
+    "rows_missing": (lambda d: d.pop("rows"), "'rows'"),
+    "designer_missing": (lambda d: d.pop("designer"), "'designer'"),
+    "relations_missing": (lambda d: d.pop("relations"), "'relations'"),
+    "designer_out_of_range": (lambda d: d.update(designer=5), "designer 5"),
+    "rows_wrong_shape": (lambda d: d.update(rows=[r + r for r in d["rows"]]),
+                         "rows have shape (2, 8), expected (2, 4)"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ASSIGNMENTS))
+def test_verify_bad_assignment_file_exits_two(tmp_path, capsys, case):
+    game, path = _assignment_file(tmp_path)
+    corrupt, named = BAD_ASSIGNMENTS[case]
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run(["verify", "--game", game, "--assignment", str(path),
+                "--random-opponents", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and named in err
+
+
+def test_simulate_checks_assignment_file(tmp_path, capsys):
+    game, path = _assignment_file(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["designer"] = 5
+    path.write_text(json.dumps(doc))
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"rules": {"2": [[0.5] * 4, [0.5] * 4]}}))
+    capsys.readouterr()
+    code = run(["simulate", "--game", game, "--rules", str(rules),
+                "--assignment", str(path), "--steps", "100"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "designer 5" in err
+
+
+# ---------------------------------------------------------------------------
+# game files: players and strategy_counts must be JSON integers
+
+BAD_GAME_FIELDS = {
+    "players_word": ({"players": "two"}, "'players'"),
+    "players_bool": ({"players": True}, "'players'"),
+    "count_string": ({"strategy_counts": ["2", 2]}, "'strategy_counts'"),
+    "counts_not_list": ({"strategy_counts": "22"}, "'strategy_counts'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_GAME_FIELDS))
+def test_design_bad_game_field_exits_two(tmp_path, capsys, case):
+    change, named = BAD_GAME_FIELDS[case]
+    doc = {"players": 2, "strategy_counts": [2, 2], "payoffs": PD_GAME.tolist()}
+    doc.update(change)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    code = run(["design", "--game", str(path), "--player", "1",
+                "--relation", "pin:target=2,value=2,row=1,mu=auto"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and named in err
+
+
+# ---------------------------------------------------------------------------
+
+
+def test_main_reuses_its_parser_without_sharing_state(pinning_game_file,
+                                                     tmp_path, capsys):
+    from zdkit.cli import make_parser
+
+    assert make_parser() is make_parser()
+    first, second = tmp_path / "1.json", tmp_path / "2.json"
+    assert run(["design", "--game", pinning_game_file, "--player", "2",
+                "--relation", "pin:target=1,value=4,row=1,mu=0.1",
+                "--relation", "pin:target=3,value=3,row=2,mu=0.1",
+                "--out", str(first), "--pretty"]) == 0
+    assert "rationality" in capsys.readouterr().out
+    assert run(["design", "--game", pinning_game_file, "--player", "2",
+                "--relation", "pin:target=3,value=3,row=2,mu=0.1",
+                "--out", str(second)]) == 0
+    assert capsys.readouterr().out == ""
+    relations = json.loads(second.read_text())["relations"]
+    assert [r["row_index"] for r in relations] == [2]
+    a = make_parser().parse_args(["verify", "--game", "g", "--assignment", "a",
+                                  "--random-opponents", "3"])
+    b = make_parser().parse_args(["verify", "--game", "g", "--assignment", "a"])
+    assert a.random_opponents == 3 and b.random_opponents is None

@@ -4,21 +4,22 @@ import numpy as np
 import pytest
 
 from zdkit import (
-    DesignedRow,
     DomainError,
     GameSpec,
     LinearRelation,
     ZDAssignment,
     build_pee,
+    assemble,
     build_rule,
     design_extortion,
+    rationality_check,
+    verify_effectiveness,
+)
+from zdkit.design import (
+    DesignedRow,
     design_pinning,
     design_row,
     feasible_mu_interval,
-    kappa_params,
-    rationality_check,
-    verify_effectiveness,
-    xi_sum_identity,
 )
 from conftest import (
     EXTORTION_ROW_1,
@@ -27,6 +28,7 @@ from conftest import (
     PINNING_ROW_2,
     random_interior_rule,
 )
+from oracles import kappa_params, xi_sum_identity
 
 
 def brute_force_pee(rules, indexer):
@@ -123,7 +125,7 @@ def test_all_rows_of_m_sum_to_zero():
     ix = kappa_params((2, 3, 2))
     rules = [random_interior_rule(rng, i + 1, ki, ix.kappa)
              for i, ki in enumerate(ix.k)]
-    M = build_pee(rules).matrix - np.eye(ix.kappa)
+    M = build_pee(rules) - np.eye(ix.kappa)
     assert np.max(np.abs(M.sum(axis=0))) < 1e-12
 
 
@@ -135,7 +137,7 @@ def test_row_sum_identity_random_games(k):
         rules = [random_interior_rule(rng, i + 1, ki, ix.kappa)
                  for i, ki in enumerate(k)]
         L = brute_force_pee(rules, ix)
-        np.testing.assert_allclose(L, build_pee(rules).matrix, atol=1e-14)
+        np.testing.assert_allclose(L, build_pee(rules), atol=1e-14)
         M = L - np.eye(ix.kappa)
         for i in range(1, len(k) + 1):
             for j in range(1, k[i - 1] + 1):
@@ -444,3 +446,29 @@ def test_relation_rejects_non_finite_values():
         LinearRelation((1.0, float("nan")))
     with pytest.raises(DomainError):
         LinearRelation((1.0, 0.0), float("inf"))
+
+
+def test_relation_constructors_reject_players_out_of_range():
+    for target in (0, 4):
+        with pytest.raises(DomainError, match=f"target player {target} outside"):
+            LinearRelation.pinning(3, target, 1.0)
+        with pytest.raises(DomainError, match=f"target player {target} outside"):
+            LinearRelation.extortion(3, 1, target, 1.5, 1.0)
+    with pytest.raises(DomainError, match="designer player 0 outside"):
+        LinearRelation.extortion(3, 0, 2, 1.5, 1.0)
+
+
+def test_assemble_auto_mu_and_row_checks(pinning_game):
+    rel = LinearRelation.pinning(3, 1, 4)
+    lo, hi = feasible_mu_interval(pinning_game, 2, 1, rel)
+    auto = assemble(pinning_game, 2, [(1, rel, None)])
+    assert auto.designed[1].mu == (hi / 2 if hi > -lo else lo / 2)
+    np.testing.assert_array_equal(
+        auto.designed[1].row,
+        design_row(pinning_game, 2, 1, rel, auto.designed[1].mu))
+    with pytest.raises(DomainError, match="row 1 designed twice"):
+        assemble(pinning_game, 2, [(1, rel, 0.1), (1, rel, 0.2)])
+    # w = V_1 = (1, -1, 0, 0) changes sign inside phi(1, 1): only mu = 0 fits
+    game = GameSpec(k=(2, 2), payoffs=[[1, -1, 0, 0], [0, 0, 0, 0]])
+    with pytest.raises(DomainError, match="only the excluded point 0"):
+        assemble(game, 1, [(1, LinearRelation.pinning(2, 1, 0.0), None)])

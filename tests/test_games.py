@@ -8,11 +8,9 @@ from zdkit import (
     DomainError,
     GameSpec,
     ValidationError,
-    delta,
-    kappa_params,
-    payoff_eval,
 )
 from conftest import PINNING_PAYOFFS
+from oracles import delta, kappa_params, payoff_eval, phi_arithmetic
 
 # golden index data for the (2, 3, 2) game family
 PHI_232 = {
@@ -124,7 +122,7 @@ def test_phi_arithmetic_matches_decode_semantics():
         ix = kappa_params(k)
         for i in range(1, ix.n + 1):
             for j in range(1, k[i - 1] + 1):
-                assert ix.phi(i, j) == ix.phi_arithmetic(i, j)
+                assert ix.phi(i, j) == phi_arithmetic(ix, i, j)
 
 
 def test_phi_first_player_first_strategy():

@@ -20,33 +20,38 @@ import numpy as np
 import pytest
 
 from zdkit import (
-    DesignedRow,
     GameSpec,
     LinearRelation,
     ValidationError,
     ZDAssignment,
     analyze,
+    assemble,
     build_pee,
     build_rule,
     design_extortion,
+    reduce_to_fop,
+)
+from zdkit.cli import DEFAULT_SEED, _random_interior_rule, parse_relation_spec
+from zdkit.design import (
+    DesignedRow,
     design_pinning,
     design_row,
     feasible_mu_interval,
+)
+from zdkit.markov import (
+    chain_structure,
     is_primitive,
-    kappa_params,
     nullspace_stationary,
-    power_iteration_stationary,
     power_limit,
     rank_defect,
-    reduce_to_fop,
+    solve_stationary,
 )
-from zdkit.cli import DEFAULT_SEED, _random_interior_rule, build_assignment
-from zdkit.markov import chain_structure, solve_stationary
 from conftest import (
     EXTORTION_PAYOFFS,
     random_interior_rule,
     random_stochastic,
 )
+from oracles import kappa_params, power_iteration_stationary
 from test_acceptance import _sharp_interior_rule
 from test_markov import pd_rules
 from test_network import fig1_network
@@ -56,7 +61,7 @@ COLUMN_TOL = 1e-8  # the column spread the float route judged limits by
 
 
 def assert_matches_references(L):
-    m = (build_pee(L).matrix if isinstance(L, (list, tuple))
+    m = (build_pee(L) if isinstance(L, (list, tuple))
          else np.asarray(L, dtype=float))
     chain = chain_structure(m)
 
@@ -237,7 +242,8 @@ def existing_test_chains():
     # neg --node A --seed 9 and --node E with the default seed
     for node, seed, trials in (("A", 9, 5), ("E", DEFAULT_SEED, 3)):
         game = reduce_to_fop(fig1_network(), node).game
-        pin = build_assignment(game, 1, ["pin:target=2,value=2,row=1,mu=auto"])
+        pin = assemble(game, 1, [parse_relation_spec(
+            "pin:target=2,value=2,row=1,mu=auto", game, 1)])
         rng = np.random.default_rng(seed)
         chains[f"cli.neg_{node}"] = [
             [pin.as_rule(), _random_interior_rule(rng, 2, game.k[1], game.kappa)]
@@ -360,7 +366,7 @@ def test_corpus_matches_references(kind, kappa):
 
 
 def test_cycle_period_and_known_witness():
-    cycle = build_pee(corpus_chain("cycle", 48, 0)).matrix
+    cycle = build_pee(corpus_chain("cycle", 48, 0))
     chain = chain_structure(cycle)
     assert chain.periods == (48,) and chain.rank_defect == 1
     # a lazy 3-cycle: witness 2 (one step reaches two states, two reach all)
@@ -375,7 +381,7 @@ def test_irrational_chain_rejected_by_both_routes():
     rng = np.random.default_rng(60)
     (rules,) = _designed_chains(game, wild, rng, (1, 3), 1)
     L = build_pee(rules)
-    assert L.matrix.min() < 0
+    assert L.min() < 0
     with pytest.raises(ValidationError):
         chain_structure(L)
     with pytest.raises(ValidationError):

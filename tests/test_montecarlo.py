@@ -11,9 +11,9 @@ from zdkit import (
     build_rule,
     compare_empirical_vs_exact,
     design_extortion,
-    nullspace_stationary,
     simulate,
 )
+from zdkit.markov import nullspace_stationary
 from zdkit.montecarlo import DRAW_CHUNK
 from conftest import EXTORTION_PAYOFFS, random_stochastic
 from test_acceptance import _sharp_interior_rule

@@ -8,16 +8,13 @@ from zdkit import (
     DomainError,
     NetworkGame,
     ValidationError,
-    design_pinning,
-    feasible_mu_interval,
-    fop_extortion,
-    fop_pinning,
-    opponent_strategy_set,
+    design_extortion,
     rationality_check,
     reduce_to_fop,
     verify_effectiveness,
 )
-from zdkit.design import LinearRelation
+from zdkit.design import LinearRelation, design_pinning, feasible_mu_interval
+from zdkit.network import opponent_strategy_set
 from conftest import random_interior_rule
 
 T, R, P, S = 5.0, 3.0, 1.0, 0.0
@@ -97,13 +94,6 @@ def test_degree_one_reduction_is_plain_bimatrix_game():
     np.testing.assert_array_equal(game.payoff_vector(2), PD.T.ravel())
 
 
-def test_degree_one_design_matches_direct_two_player_design():
-    fop = reduce_to_fop(fig1_network(), "E")
-    direct = design_pinning(fop.game, i=1, target=2, value=2.0, mu=0.1, row=1)
-    via_fop = fop_pinning(fop, value=2.0, mu=0.1, row=1)
-    np.testing.assert_array_equal(direct.rule_matrix(), via_fop.rule_matrix())
-
-
 def test_payoff_linearity_in_counts():
     # doubling every neighbor count doubles both reduced payoffs
     net = fig1_network()
@@ -125,7 +115,7 @@ def test_fop_pinning_rational_and_effective():
     lo, hi = feasible_mu_interval(fop.game, 1, 1, rel)
     mu = hi / 2 if hi > -lo else lo / 2
     assert mu != 0.0
-    assignment = fop_pinning(fop, value=2.0, mu=mu)
+    assignment = design_pinning(fop.game, i=1, target=2, value=2.0, mu=mu)
     assert rationality_check(assignment).verdict
     rng = np.random.default_rng(30)
     for _ in range(5):
@@ -137,7 +127,8 @@ def test_fop_pinning_rational_and_effective():
 
 def test_fop_extortion_design_shape():
     fop = reduce_to_fop(fig1_network(), "B")
-    assignment = fop_extortion(fop, reference=P, factor=1.5, mu=0.01)
+    assignment = design_extortion(fop.game, i=1, reference=P, targets={2: 1.5},
+                                  mus={2: 0.01}, rows={2: 1})
     assert assignment.kappa == 8
     assert assignment.designed[1].relation.coeffs == (1.0, -1.5)
 
@@ -147,7 +138,7 @@ def test_fop_mu_outside_interval_fails_rationality():
     rel = LinearRelation.pinning(2, target=2, value=2.0)
     lo, hi = feasible_mu_interval(fop.game, 1, 1, rel)
     mu = (hi if hi > -lo else lo) * 3  # well outside
-    assignment = fop_pinning(fop, value=2.0, mu=mu)
+    assignment = design_pinning(fop.game, i=1, target=2, value=2.0, mu=mu)
     assert not rationality_check(assignment).verdict
 
 
