@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .design import (
+    RESIDUAL_TOL,
     LinearRelation,
     ZDAssignment,
     assemble,
@@ -63,8 +64,11 @@ def parse_relation_spec(spec: str, game: GameSpec, designer: int):
       extort:target=M,factor=CHI,r=R,row=J,mu=MU
       lin:coeffs=A1:A2:...:AN,constant=A0,row=J,mu=MU
     mu may be the literal 'auto' (returned as None) to take the midpoint of
-    the feasible interval.  Errors name the spec and the field.
+    the feasible interval.  row must be a strategy of the designer and lin
+    needs one coefficient per player.  Errors name the spec and the field.
     """
+    if not 1 <= designer <= game.n:
+        raise ValidationError(f"designer {designer} is not a player in 1..{game.n}")
     if ":" not in spec:
         raise ValidationError(f"relation spec {spec!r} missing 'kind:' prefix")
     kind, body = spec.split(":", 1)
@@ -80,6 +84,10 @@ def parse_relation_spec(spec: str, game: GameSpec, designer: int):
                                   f"{key}={fields[key]!r} is not {what}") from None
 
     row = field("row", int, "an integer")
+    if not 1 <= row <= game.k[designer - 1]:
+        raise ValidationError(
+            f"relation spec {spec!r}: row {row} outside 1..{game.k[designer - 1]}, "
+            f"the strategies of player {designer}")
     mu = None if fields.get("mu", "auto") == "auto" else field("mu")
     try:
         if kind == "pin":
@@ -92,6 +100,10 @@ def parse_relation_spec(spec: str, game: GameSpec, designer: int):
         elif kind == "lin":
             coeffs = field("coeffs", lambda t: tuple(map(_finite, t.split(":"))),
                            "a list of finite numbers")
+            if len(coeffs) != game.n:
+                raise ValidationError(
+                    f"relation spec {spec!r}: coeffs has {len(coeffs)} entries "
+                    f"for {game.n} players")
             relation = LinearRelation(
                 coeffs, field("constant") if "constant" in fields else 0.0)
         else:
@@ -99,6 +111,25 @@ def parse_relation_spec(spec: str, game: GameSpec, designer: int):
     except DomainError as exc:
         raise ValidationError(f"relation spec {spec!r}: {exc}") from None
     return row, relation, mu
+
+
+def _assemble_specs(game: GameSpec, designer: int, specs) -> ZDAssignment:
+    """The designer's assignment from --relation specs; errors name the spec.
+
+    assemble takes the parsed triples one at a time and raises about a row
+    before taking the next, so the spec parsed last is the one at fault.
+    """
+    spec = None
+
+    def triples():
+        nonlocal spec
+        for spec in specs:
+            yield parse_relation_spec(spec, game, designer)
+
+    try:
+        return assemble(game, designer, triples())
+    except DomainError as exc:
+        raise ValidationError(f"relation spec {spec!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +185,17 @@ def _random_interior_rule(rng, player: int, k: int, kappa: int):
     return build_rule(player, w / w.sum(axis=0))
 
 
+def _random_trials(seed, game: GameSpec, designer: int, count: int) -> list:
+    """count draws of a random interior rule for every other player."""
+    rng = np.random.default_rng(seed)
+    return [{p: _random_interior_rule(rng, p, game.k[p - 1], game.kappa)
+             for p in range(1, game.n + 1) if p != designer}
+            for _ in range(count)]
+
+
 def _emit(doc: dict, out, pretty: bool):
-    text = json.dumps(doc, indent=2)
+    # allow_nan=False: a NaN or infinity would make the output invalid JSON
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -182,10 +222,20 @@ def _render_table(doc: dict, indent: str = ""):
 # subcommands
 
 
+def _verify_trials(game, assignment, trials, tol) -> dict:
+    """The verification block verify and neg report, one report per trial."""
+    reports = [verify_effectiveness(game, assignment, rules, residual_tol=tol)
+               for rules in trials]
+    return {
+        "trials": len(reports),
+        "all_effective": all(r.effective for r in reports),
+        "reports": [r.to_json() for r in reports],
+    }
+
+
 def cmd_design(args) -> int:
     game = GameSpec.load(args.game)
-    assignment = assemble(game, args.player, (
-        parse_relation_spec(spec, game, args.player) for spec in args.relation))
+    assignment = _assemble_specs(game, args.player, args.relation)
     report = rationality_check(assignment)
     doc = assignment.to_json()
     doc["rationality"] = report.to_json()
@@ -196,7 +246,6 @@ def cmd_design(args) -> int:
 def cmd_verify(args) -> int:
     game = GameSpec.load(args.game)
     assignment = ZDAssignment.load(args.assignment, game)
-    trials = []
     if args.opponents:
         rules = _load_rules(args.opponents, game)
         missing = [p for p in range(1, game.n + 1)
@@ -204,28 +253,15 @@ def cmd_verify(args) -> int:
         if missing:
             raise ValidationError(
                 f"{args.opponents}: no rule given for players {missing}")
-        trials.append(rules)
+        trials = [rules]
     elif args.random_opponents:
-        rng = np.random.default_rng(args.seed)
-        for _ in range(args.random_opponents):
-            trials.append({
-                p: _random_interior_rule(rng, p, game.k[p - 1], game.kappa)
-                for p in range(1, game.n + 1) if p != assignment.designer
-            })
+        trials = _random_trials(args.seed, game, assignment.designer,
+                                args.random_opponents)
     else:
         raise ValidationError("need --opponents FILE or --random-opponents N")
-    reports = [
-        verify_effectiveness(game, assignment, rules, residual_tol=args.tol)
-        for rules in trials
-    ]
-    all_ok = all(r.effective for r in reports)
-    doc = {
-        "trials": len(reports),
-        "all_effective": all_ok,
-        "reports": [r.to_json() for r in reports],
-    }
+    doc = _verify_trials(game, assignment, trials, args.tol)
     _emit(doc, args.out, args.pretty)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return EXIT_OK if doc["all_effective"] else EXIT_CHECK_FAILED
 
 
 def cmd_analyze(args) -> int:
@@ -270,35 +306,23 @@ def cmd_neg(args) -> int:
     if node not in net.adjacency and node.isdigit() and int(node) in net.adjacency:
         node = int(node)
     fop = reduce_to_fop(net, node)
-    assignment = assemble(fop.game, 1, (
-        parse_relation_spec(spec, fop.game, 1) for spec in args.relation))
+    assignment = _assemble_specs(fop.game, 1, args.relation)
     rationality = rationality_check(assignment)
-    rng = np.random.default_rng(args.seed)
-    reports = []
-    for _ in range(args.random_opponents):
-        rules = {2: _random_interior_rule(rng, 2, fop.game.k[1], fop.game.kappa)}
-        reports.append(verify_effectiveness(fop.game, assignment, rules,
-                                            residual_tol=args.tol))
+    trials = _random_trials(args.seed, fop.game, 1, args.random_opponents)
+    report_doc = {"node": str(fop.focal), "rational": rationality.verdict,
+                  **_verify_trials(fop.game, assignment, trials, args.tol)}
     os.makedirs(args.out, exist_ok=True)
     game_doc = fop.game.to_json()
     game_doc["focal_node"] = str(fop.focal)
     game_doc["aggregate_profiles"] = [list(c) for c in fop.aggregate_profiles]
-    with open(os.path.join(args.out, "reduced_game.json"), "w") as fh:
-        json.dump(game_doc, fh, indent=2)
-    with open(os.path.join(args.out, "assignment.json"), "w") as fh:
-        json.dump(assignment.to_json(), fh, indent=2)
-    all_ok = rationality.verdict and all(r.effective for r in reports)
-    report_doc = {
-        "node": str(fop.focal),
-        "rational": rationality.verdict,
-        "trials": len(reports),
-        "all_effective": all(r.effective for r in reports),
-        "reports": [r.to_json() for r in reports],
-    }
-    with open(os.path.join(args.out, "report.json"), "w") as fh:
-        json.dump(report_doc, fh, indent=2)
+    for name, doc in (("reduced_game.json", game_doc),
+                      ("assignment.json", assignment.to_json()),
+                      ("report.json", report_doc)):
+        with open(os.path.join(args.out, name), "w") as fh:
+            fh.write(json.dumps(doc, indent=2, allow_nan=False))
     if args.pretty:
         _render_table(report_doc)
+    all_ok = rationality.verdict and report_doc["all_effective"]
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
@@ -319,9 +343,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--pretty", action="store_true",
                        help="also print a human-readable table")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="residual tolerance for effectiveness")
 
     p = sub.add_parser("design", help="design strategy rows from payoff relations")
     p.add_argument("--game", required=True)
@@ -340,6 +361,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--opponents", help="JSON file with opponents' rule matrices")
     p.add_argument("--random-opponents", type=int,
                    help="verify against N random interior opponents")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--tol", type=float, default=RESIDUAL_TOL,
+                   help="residual tolerance for effectiveness")
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -358,6 +382,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=int, default=1)
     p.add_argument("--z", type=float, default=4.0,
                    help="z-score threshold for the empirical-vs-exact check")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -368,6 +393,9 @@ def make_parser() -> argparse.ArgumentParser:
                    help="relation specs on the reduced 2-player game "
                         "(opponent is player 2)")
     p.add_argument("--random-opponents", type=int, default=20)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--tol", type=float, default=RESIDUAL_TOL,
+                   help="residual tolerance for effectiveness")
     common(p)
     p.set_defaults(func=cmd_neg)
     return parser

@@ -21,7 +21,7 @@ has no such graph, and its conditions are reported as not evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +31,10 @@ from .markov import (
     POSITIVITY_TOL,
     StrategyRule,
     build_pee,
-    build_rule,
     chain_structure,
     solve_stationary,
 )
+from .stp import DEFAULT_TOL
 
 RESIDUAL_TOL = 1e-8
 
@@ -93,118 +93,88 @@ class LinearRelation:
         ec = np.asarray(expected_payoffs, dtype=float)
         return float(np.dot(self.coeffs, ec) + self.constant)
 
-    def to_json(self) -> dict:
-        return {"coeffs": list(self.coeffs), "constant": self.constant}
-
-
-@dataclass(frozen=True)
-class DesignedRow:
-    strategy: int
-    relation: LinearRelation
-    mu: float
-    row: np.ndarray
-
 
 @dataclass(frozen=True)
 class ZDAssignment:
-    """A designer's rule rows: designed ones plus explicit or defaulted rest.
+    """A designer's full k x kappa rule and the relations it was designed for.
 
-    Undesigned rows not supplied in `fixed` split the leftover column mass
-    evenly, so the full rule is always column-stochastic by construction
-    (though possibly with negative entries when the design is irrational).
+    rows is the rule, stored read-only; relations holds one
+    (j, LinearRelation, mu) triple per designed row j, sorted by j.  The
+    other rows are undesigned; assemble lets them split the leftover column
+    mass evenly, so its rules are column-stochastic by construction (though
+    possibly with negative entries when the design is irrational).
     """
 
     designer: int
-    k: int
-    kappa: int
-    designed: dict = field(default_factory=dict)
-    fixed: dict = field(default_factory=dict)
+    rows: np.ndarray
+    relations: tuple = ()
 
     def __post_init__(self):
-        if self.k < 2:
-            raise DomainError("designer needs at least 2 strategies")
-        if len(self.designed) > self.k - 1:
+        rows = np.array(self.rows, dtype=float)
+        k = rows.shape[0]
+        relations = tuple(sorted(self.relations, key=lambda rel: rel[0]))
+        if len(relations) > k - 1:
             raise DomainError(
-                f"player {self.designer} can design at most {self.k - 1} rows "
-                f"({len(self.designed)} requested); the last row is determined "
+                f"player {self.designer} can design at most {k - 1} rows "
+                f"({len(relations)} requested); the last row is determined "
                 f"by the others"
             )
-        for j in list(self.designed) + list(self.fixed):
-            if not 1 <= j <= self.k:
-                raise DomainError(f"row index {j} outside 1..{self.k}")
-        overlap = set(self.designed) & set(self.fixed)
-        if overlap:
-            raise DomainError(f"rows {sorted(overlap)} both designed and fixed")
+        js = [j for j, _, _ in relations]
+        for j in js:
+            if not 1 <= j <= k:
+                raise DomainError(f"row index {j} outside 1..{k}")
+        for j, nxt in zip(js, js[1:]):
+            if j == nxt:
+                raise DomainError(f"row {j} designed twice")
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "relations", relations)
 
     @property
-    def designed_rows(self) -> list:
-        return [self.designed[j] for j in sorted(self.designed)]
+    def k(self) -> int:
+        return self.rows.shape[0]
 
-    def rule_matrix(self) -> np.ndarray:
-        """Full k x kappa rule with defaulted rows filling the residual mass."""
-        m = np.zeros((self.k, self.kappa))
-        assigned = np.zeros(self.kappa)
-        free = []
-        for j in range(1, self.k + 1):
-            if j in self.designed:
-                m[j - 1] = self.designed[j].row
-            elif j in self.fixed:
-                m[j - 1] = self.fixed[j]
-            else:
-                free.append(j)
-                continue
-            assigned += m[j - 1]
-        if free:
-            share = (1.0 - assigned) / len(free)
-            for j in free:
-                m[j - 1] = share
-        return m
+    @property
+    def kappa(self) -> int:
+        return self.rows.shape[1]
 
     def as_rule(self) -> StrategyRule:
         # no [0,1] validation here: an irrational design still yields a
         # column-stochastic-by-sums matrix that verification must handle
-        return StrategyRule(player=self.designer, matrix=self.rule_matrix())
+        return StrategyRule(player=self.designer, matrix=self.rows)
 
     def to_json(self) -> dict:
         return {
             "designer": self.designer,
             "relations": [
                 {
-                    "coeffs": list(d.relation.coeffs),
-                    "constant": d.relation.constant,
-                    "mu": d.mu,
-                    "row_index": d.strategy,
+                    "coeffs": list(relation.coeffs),
+                    "constant": relation.constant,
+                    "mu": mu,
+                    "row_index": j,
                 }
-                for d in self.designed_rows
+                for j, relation, mu in self.relations
             ],
-            "rows": [list(row) for row in self.rule_matrix()],
+            "rows": [list(row) for row in self.rows],
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "ZDAssignment":
-        rows = np.array(doc["rows"], dtype=float)
-        k, kappa = rows.shape
-        designed = {}
-        for rel in doc["relations"]:
-            j = int(rel["row_index"])
-            designed[j] = DesignedRow(
-                strategy=j,
-                relation=LinearRelation(tuple(rel["coeffs"]), rel["constant"]),
-                mu=float(rel["mu"]),
-                row=rows[j - 1],
-            )
-        fixed = {
-            j: rows[j - 1] for j in range(1, k + 1) if j not in designed
-        }
-        return cls(designer=int(doc["designer"]), k=k, kappa=kappa,
-                   designed=designed, fixed=fixed)
+        return cls(designer=int(doc["designer"]), rows=doc["rows"], relations=tuple(
+            (int(rel["row_index"]),
+             LinearRelation(tuple(rel["coeffs"]), rel["constant"]),
+             float(rel["mu"]))
+            for rel in doc["relations"]))
 
     @classmethod
     def load(cls, path, game: GameSpec) -> "ZDAssignment":
         """Assignment for game from a JSON file; every error names the file.
 
-        designer must be a player of game, rows a (k_designer, kappa) table
-        of numbers, and each relation must have one coefficient per player.
+        designer must be a player of game and rows a (k_designer, kappa)
+        table of numbers whose columns each sum to 1 (negative entries are
+        allowed: an irrational design has them).  Each relation needs a
+        row_index, one coefficient per player, and coeffs, constant and mu
+        that are JSON numbers.
         """
         doc = read_json(path)
         if not isinstance(doc, dict):
@@ -222,16 +192,26 @@ class ZDAssignment:
             raise ValidationError(
                 f"{path}: rows have shape {rows.shape}, expected {expected} "
                 f"(the designer's strategies x profiles)")
+        sums = rows.sum(axis=0)
+        off = np.flatnonzero(np.abs(sums - 1.0) > DEFAULT_TOL)
+        if off.size:
+            raise ValidationError(
+                f"{path}: rows: column {off[0] + 1} sums to {sums[off[0]]:.6g}, "
+                f"not 1")
         try:
+            for rel in doc["relations"]:
+                values = [*rel["coeffs"], rel["constant"], rel["mu"]]
+                if not all(type(v) in (int, float) for v in values):
+                    raise ValueError("coeffs, constant and mu must be numbers")
             assignment = cls.from_json({**doc, "rows": rows})
         except (LookupError, TypeError, ValueError) as exc:
             what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise ValidationError(f"{path}: bad 'relations' entry: {what}") from None
-        for d in assignment.designed_rows:
-            if len(d.relation.coeffs) != game.n:
+        for j, relation, _ in assignment.relations:
+            if len(relation.coeffs) != game.n:
                 raise ValidationError(
-                    f"{path}: relation of row {d.strategy} has "
-                    f"{len(d.relation.coeffs)} coefficients for {game.n} players")
+                    f"{path}: relation of row {j} has "
+                    f"{len(relation.coeffs)} coefficients for {game.n} players")
         return assignment
 
 
@@ -248,13 +228,20 @@ def design_row(game: GameSpec, i: int, j: int, relation: LinearRelation,
 def assemble(game: GameSpec, designer: int, rows) -> ZDAssignment:
     """The designer's assignment from (j, relation, mu) triples, one per row.
 
-    Every designed row is built here.  mu=None takes the midpoint of the
-    larger half of the feasible mu interval, away from the excluded 0.
+    Every designed row is built here, in the order given, and an error about
+    a row is raised before the next triple is taken.  mu=None takes the
+    midpoint of the larger half of the feasible mu interval, away from the
+    excluded 0.  The undesigned rows split the column mass the designed
+    ones leave, summed in ascending j.
     """
-    designed = {}
+    designed, relations = {}, []
     for j, relation, mu in rows:
         if j in designed:
             raise DomainError(f"row {j} designed twice")
+        if not relation.row(game).any():
+            raise DomainError(
+                f"relation of row {j} is identically zero on this game; it "
+                f"holds whatever is played and designs nothing")
         if mu is None:
             lo, hi = feasible_mu_interval(game, designer, j, relation)
             mu = hi / 2.0 if hi > -lo else lo / 2.0
@@ -263,12 +250,20 @@ def assemble(game: GameSpec, designer: int, rows) -> ZDAssignment:
                     f"feasible mu interval [{lo:.6g}, {hi:.6g}] for row {j} "
                     f"contains only the excluded point 0; no rational design "
                     f"exists")
-        designed[j] = DesignedRow(
-            strategy=j, relation=relation, mu=mu,
-            row=design_row(game, designer, j, relation, mu),
-        )
-    return ZDAssignment(designer=designer, k=game.k[designer - 1],
-                        kappa=game.kappa, designed=designed)
+        designed[j] = design_row(game, designer, j, relation, mu)
+        if not np.isfinite(designed[j]).all():
+            raise DomainError(f"mu = {mu:g} makes row {j} overflow")
+        relations.append((j, relation, mu))
+    k = game.k[designer - 1]
+    m = np.zeros((k, game.kappa))
+    assigned = np.zeros(game.kappa)
+    for j in sorted(designed):
+        m[j - 1] = designed[j]
+        assigned += designed[j]
+    free = [j - 1 for j in range(1, k + 1) if j not in designed]
+    if free:
+        m[free] = (1.0 - assigned) / len(free)
+    return ZDAssignment(designer=designer, rows=m, relations=tuple(relations))
 
 
 def design_pinning(game: GameSpec, i: int, target: int, value: float,
@@ -309,23 +304,31 @@ class RationalityReport:
         }
 
 
+def _excess(values) -> np.ndarray:
+    """Distance of each value from [0, 1]; a NaN counts as infinitely far."""
+    excess = np.maximum(-values, values - 1.0)
+    return np.where(np.isnan(excess), np.inf, excess)
+
+
 def rationality_check(assignment: ZDAssignment, tol: float = 1e-12) -> RationalityReport:
     """Designed rows must lie in [0,1] entrywise and sum entrywise into [0,1].
 
     Violations are listed row by row, each in profile order; worst_margin is
     the largest excess over [0, 1] among them (0.0 when there are none).
+    A non-finite entry is a violation with an infinite excess.
     """
     row_viol = []
     worst = 0.0
     total = np.zeros(assignment.kappa)
-    for d in assignment.designed_rows:
-        total += d.row
-        excess = np.maximum(-d.row, d.row - 1.0)
+    for j, _, _ in assignment.relations:
+        row = assignment.rows[j - 1]
+        total += row
+        excess = _excess(row)
         bad = np.flatnonzero(excess > tol)
-        row_viol += [(d.strategy, s + 1, v) for s, v in
-                     zip(bad.tolist(), d.row[bad].tolist())]
+        row_viol += [(j, s + 1, v) for s, v in
+                     zip(bad.tolist(), row[bad].tolist())]
         worst = max(worst, excess[bad].max(initial=0.0))
-    excess = np.maximum(-total, total - 1.0)
+    excess = _excess(total)
     bad = np.flatnonzero(excess > tol)
     sum_viol = [(s + 1, v) for s, v in zip(bad.tolist(), total[bad].tolist())]
     worst = max(worst, excess[bad].max(initial=0.0))
@@ -382,8 +385,8 @@ def verify_effectiveness(game: GameSpec, assignment: ZDAssignment,
     """Check whether the designed payoff relations hold at stationarity.
 
     opponent_rules maps every player other than the designer to a
-    StrategyRule (or raw k x kappa matrix).  The verdict requires the power
-    limit of the full transition matrix to exist with identical columns and
+    StrategyRule.  The verdict requires the power limit of the full
+    transition matrix to exist with identical columns and
     rank(L - I) = kappa - 1.  Both are decided exactly from the transition
     graph: the rank condition holds iff the chain has one closed class, the
     limit condition iff that class is also aperiodic.  When both hold the
@@ -396,35 +399,26 @@ def verify_effectiveness(game: GameSpec, assignment: ZDAssignment,
     """
     rules = []
     for p in range(1, game.n + 1):
-        if p == assignment.designer:
-            rules.append(assignment.as_rule())
-        else:
-            r = opponent_rules[p]
-            if not isinstance(r, StrategyRule):
-                r = build_rule(p, r)
-            if r.k != game.k[p - 1]:
-                raise DimensionError(
-                    f"player {p} rule has {r.k} strategies, expected {game.k[p - 1]}"
-                )
-            rules.append(r)
+        r = assignment.as_rule() if p == assignment.designer else opponent_rules[p]
+        if r.k != game.k[p - 1]:
+            raise DimensionError(
+                f"player {p} rule has {r.k} strategies, expected {game.k[p - 1]}"
+            )
+        rules.append(r)
     L = build_pee(rules)
     rational = rationality_check(assignment).verdict
-    if np.any(L < -POSITIVITY_TOL):
-        return EffectivenessReport(
-            rational=rational, effective=False, limit_ok=None, rank_ok=None,
-            expected_payoffs=None, residuals=None, stationary_residual=None,
-        )
-    chain = chain_structure(L)
-    rank_ok = chain.rank_defect == 1
-    limit_ok = chain.limit_identical_columns
-    payoffs = residuals = stationary_residual = None
-    effective = limit_ok
+    limit_ok = rank_ok = payoffs = residuals = stationary_residual = None
+    effective = False
+    if not np.any(L < -POSITIVITY_TOL):
+        chain = chain_structure(L)
+        rank_ok = chain.rank_defect == 1
+        limit_ok = effective = chain.limit_identical_columns
     if effective:
         u, stationary_residual = solve_stationary(L)
         ec = game.payoffs @ u
         payoffs = [float(v) for v in ec]
         residuals = [
-            abs(d.relation.evaluate(ec)) for d in assignment.designed_rows
+            abs(relation.evaluate(ec)) for _, relation, _ in assignment.relations
         ]
         effective = all(r < residual_tol for r in residuals)
     return EffectivenessReport(

@@ -152,7 +152,6 @@ class GameSpec:
 
     k: tuple
     payoffs: np.ndarray  # shape (n, kappa)
-    labels: tuple | None = None
     _indexer: ProfileIndexer = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -187,14 +186,11 @@ class GameSpec:
         return self.payoffs[i - 1]
 
     def to_json(self) -> dict:
-        doc = {
+        return {
             "players": self.n,
             "strategy_counts": list(self.k),
             "payoffs": [list(row) for row in self.payoffs],
         }
-        if self.labels is not None:
-            doc["labels"] = [list(names) for names in self.labels]
-        return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "GameSpec":
@@ -211,11 +207,7 @@ class GameSpec:
                 f"field 'strategy_counts' is {k!r}, not a list of integers")
         if n != len(k):
             raise DomainError(f"players = {n} but {len(k)} strategy counts given")
-        labels = doc.get("labels")
-        if labels is not None:
-            labels = tuple(tuple(names) for names in labels)
-        return cls(k=tuple(k), payoffs=numeric_table(doc["payoffs"], "payoffs"),
-                   labels=labels)
+        return cls(k=tuple(k), payoffs=numeric_table(doc["payoffs"], "payoffs"))
 
     @classmethod
     def load(cls, path) -> "GameSpec":

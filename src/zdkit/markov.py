@@ -21,7 +21,7 @@ adjugate live in tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -195,11 +195,17 @@ def _least_positive_power(step) -> int:
 
 @dataclass(frozen=True)
 class ChainStructure:
-    """Exact pattern facts of a stochastic chain."""
+    """Exact pattern facts of a stochastic chain, and its stationary vector.
+
+    stationary and stationary_residual are set by analyze, and only when the
+    chain is primitive; chain_structure leaves them None.
+    """
 
     classes: tuple  # closed communicating classes, 0-based profile arrays
     periods: tuple  # one per closed class
     witness: int | None  # least s with L^s > 0; None when not primitive
+    stationary: np.ndarray | None = None
+    stationary_residual: float | None = None
 
     @property
     def primitive(self) -> bool:
@@ -219,6 +225,17 @@ class ChainStructure:
     def limit_identical_columns(self) -> bool:
         """Whether the power limit exists with identical columns."""
         return self.rank_defect == 1 and self.aperiodic
+
+    def to_json(self) -> dict:
+        return {
+            "primitive": self.primitive,
+            "witness_s": self.witness,
+            "rank_defect": self.rank_defect,
+            "stationary": None if self.stationary is None else list(self.stationary),
+            "limit_converged": self.aperiodic,
+            "periods": list(self.periods),
+            "stationary_residual": self.stationary_residual,
+        }
 
 
 def chain_structure(L) -> ChainStructure:
@@ -271,20 +288,12 @@ def solve_stationary(L):
     return u, float(np.max(np.abs(m @ u - u)))
 
 
-def _positive_stationary(m, tol: float):
-    u, residual = solve_stationary(m)
-    if np.min(u) <= 0 or residual > tol:
-        raise AnalysisError(
-            f"stationary solve failed the fixed-point check "
-            f"(residual {residual:.3g}, smallest entry {np.min(u):.3g})")
-    return u, residual
-
-
 def stationary_distribution(L, tol: float = 1e-10) -> np.ndarray:
     """Unique positive stationary distribution of a primitive chain."""
-    if not chain_structure(L).primitive:
+    u = analyze(L, tol).stationary
+    if u is None:
         raise AnalysisError("chain is not primitive; stationary vector not unique")
-    return _positive_stationary(_matrix_of(L), tol)[0]
+    return u
 
 
 def rank_defect(L) -> int:
@@ -325,43 +334,19 @@ def power_limit(L, max_t: int = 1 << 20, tol: float = 1e-12) -> PowerLimit:
     return PowerLimit(converged=False, matrix=None, steps=t)
 
 
-@dataclass(frozen=True)
-class MarkovReport:
-    """Summary of the chain analysis used by the design-verification pipeline."""
-
-    primitive: bool
-    witness_s: int | None
-    rank_defect: int  # number of closed classes
-    stationary: np.ndarray | None
-    limit_converged: bool  # every closed class aperiodic
-    periods: tuple  # one per closed class
-    stationary_residual: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "primitive": self.primitive,
-            "witness_s": self.witness_s,
-            "rank_defect": self.rank_defect,
-            "stationary": None if self.stationary is None else list(self.stationary),
-            "limit_converged": self.limit_converged,
-            "periods": list(self.periods),
-            "stationary_residual": self.stationary_residual,
-        }
-
-
-def analyze(L, tol: float = 1e-10) -> MarkovReport:
+def analyze(L, tol: float = 1e-10) -> ChainStructure:
     """Exact chain structure of a stochastic L, plus its stationary vector
-    when L is primitive."""
+    and that solve's residual when L is primitive.
+
+    Raises AnalysisError when the primitive chain's solve gives a vector
+    that is not positive or whose residual exceeds tol.
+    """
     chain = chain_structure(L)
-    u = residual = None
-    if chain.primitive:
-        u, residual = _positive_stationary(_matrix_of(L), tol)
-    return MarkovReport(
-        primitive=chain.primitive,
-        witness_s=chain.witness,
-        rank_defect=chain.rank_defect,
-        stationary=u,
-        limit_converged=chain.aperiodic,
-        periods=chain.periods,
-        stationary_residual=residual,
-    )
+    if not chain.primitive:
+        return chain
+    u, residual = solve_stationary(L)
+    if np.min(u) <= 0 or residual > tol:
+        raise AnalysisError(
+            f"stationary solve failed the fixed-point check "
+            f"(residual {residual:.3g}, smallest entry {np.min(u):.3g})")
+    return replace(chain, stationary=u, stationary_residual=residual)

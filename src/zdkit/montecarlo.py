@@ -86,8 +86,8 @@ def compare_empirical_vs_exact(traj: Trajectory, u, payoff_vectors=None,
     """Per-profile and per-player deviations of a trajectory from the exact chain.
 
     Profile deviations are judged against z binomial standard errors at the
-    effective sample size; payoff gaps are reported both absolute and
-    relative to the exact value.
+    raw post-burn-in step count (no autocorrelation correction); payoff
+    gaps are reported both absolute and relative to the exact value.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.shape[0] != traj.empirical.shape[0]:

@@ -170,10 +170,6 @@ class FOPGame:
     game: GameSpec
     aggregate_profiles: tuple  # the opponent's count vectors, in order
 
-    @property
-    def opponent_size(self) -> int:
-        return len(self.aggregate_profiles)
-
 
 def reduce_to_fop(net: NetworkGame, node) -> FOPGame:
     """Build the reduced game for one node against its aggregated neighbors.

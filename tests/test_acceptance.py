@@ -23,7 +23,7 @@ from zdkit import (
     verify_effectiveness,
     NetworkGame,
 )
-from zdkit.design import DesignedRow, design_row
+from zdkit.design import design_row
 from zdkit.markov import is_primitive, nullspace_stationary, rank_defect
 from zdkit.montecarlo import simulate
 from zdkit.network import opponent_strategy_set
@@ -122,8 +122,8 @@ def test_03_extortion_rows_golden_and_rational():
     assignment = design_extortion(game, i=2, reference=1.0,
                                   targets={1: 1.1, 3: 1.2},
                                   mus={1: 0.05, 3: 0.1}, rows={1: 1, 3: 2})
-    r1 = assignment.designed[1].row
-    r2 = assignment.designed[2].row
+    r1 = assignment.rows[0]
+    r2 = assignment.rows[1]
     err = max(np.max(np.abs(r1 - EXTORTION_ROW_1)),
               np.max(np.abs(r2 - EXTORTION_ROW_2)))
     rational = rationality_check(assignment).verdict
@@ -220,8 +220,8 @@ def test_07_negative_controls():
     # switching opponent: the chain is periodic, so the power limit fails
     game = GameSpec(k=(2, 2), payoffs=np.tile(np.arange(4.0), (2, 1)))
     rel = LinearRelation((1.0, -1.0), 0.0)
-    a = ZDAssignment(designer=1, k=2, kappa=4, designed={1: DesignedRow(
-        strategy=1, relation=rel, mu=0.5, row=design_row(game, 1, 1, rel, 0.5))})
+    row = design_row(game, 1, 1, rel, 0.5)
+    a = ZDAssignment(designer=1, rows=[row, 1.0 - row], relations=((1, rel, 0.5),))
     report_b = verify_effectiveness(game, a, {2: build_rule(
         2, [[0, 1, 0, 1], [1, 0, 1, 0]])})
     ok_b = (not report_b.effective) and (not report_b.limit_ok)
@@ -300,9 +300,8 @@ def test_09_network_reduction_golden():
     fop_a = reduce_to_fop(net, "A")
     row = design_row(fop_a.game, 1, 1, LinearRelation.pinning(2, 2, 2.0),
                      -1 / 16)
-    assignment = ZDAssignment(designer=1, k=2, kappa=6, designed={
-        1: DesignedRow(strategy=1, relation=LinearRelation.pinning(2, 2, 2.0),
-                       mu=-1 / 16, row=row)})
+    assignment = ZDAssignment(designer=1, rows=[row, 1.0 - row], relations=(
+        (1, LinearRelation.pinning(2, 2, 2.0), -1 / 16),))
     rng = np.random.default_rng(109)
     worst = 0.0
     for _ in range(20):

@@ -129,15 +129,16 @@ def test_verify_random_opponents(extortion_game_file, tmp_path):
 
 def test_verify_explicit_opponents_ineffective(tmp_path):
     # designer row degenerates to "repeat my move"; switching opponent
-    # makes the chain periodic, so the limit condition must fail
+    # makes the chain periodic, so the limit condition must fail.  design
+    # refuses the relation, which is zero on this game, so the file is
+    # written directly.
     game_path = tmp_path / "game.json"
     GameSpec(k=(2, 2), payoffs=np.tile(np.arange(4.0), (2, 1))).save(game_path)
     assignment = tmp_path / "a.json"
-    run([
-        "design", "--game", str(game_path), "--player", "1",
-        "--relation", "lin:coeffs=1:-1,constant=0,row=1,mu=0.5",
-        "--out", str(assignment),
-    ])
+    assignment.write_text(json.dumps({
+        "designer": 1, "rows": [[1, 1, 0, 0], [0, 0, 1, 1]],
+        "relations": [{"coeffs": [1, -1], "constant": 0, "mu": 0.5,
+                       "row_index": 1}]}))
     opponents = tmp_path / "opp.json"
     opponents.write_text(json.dumps(
         {"rules": {"2": [[0, 1, 0, 1], [1, 0, 1, 0]]}}))
@@ -509,19 +510,39 @@ BAD_RELATIONS = {
     "row_not_integer": ("pin:target=2,value=2,row=x,mu=auto", "row"),
     "mu_not_number": ("pin:target=2,value=2,row=1,mu=zz", "mu"),
     "coeffs_not_numbers": ("lin:coeffs=1:a,constant=0,row=1,mu=auto", "coeffs"),
+    "row_past_k": ("pin:target=2,value=2,row=9,mu=auto", "row 9"),
+    "coeffs_count": ("lin:coeffs=1:2:3,row=1", "coeffs"),
+    "zero_relation_row": ("pin:target=2,value=2,row=1,mu=auto",
+                          "identically zero"),
 }
+
+# payoffs a case needs instead of PD_GAME: player 2 collects 2 at every
+# profile, so pinning it to 2 makes the relation row identically zero
+RELATION_GAMES = {"zero_relation_row": [[1, 2, 3, 4], [2, 2, 2, 2]]}
 
 
 @pytest.mark.parametrize("case", list(BAD_RELATIONS))
 def test_malformed_relation_field_exits_two(tmp_path, capsys, case):
     spec, field = BAD_RELATIONS[case]
-    GameSpec(k=(2, 2), payoffs=PD_GAME).save(tmp_path / "game.json")
+    payoffs = RELATION_GAMES.get(case, PD_GAME)
+    GameSpec(k=(2, 2), payoffs=payoffs).save(tmp_path / "game.json")
     code = run(["design", "--game", str(tmp_path / "game.json"),
                 "--player", "1", "--relation", spec])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(spec) in err
     assert field in err.split(repr(spec), 1)[1]
+
+
+def test_design_mu_overflow_exits_two(tmp_path, capsys):
+    GameSpec(k=(2, 2), payoffs=PD_GAME).save(tmp_path / "game.json")
+    spec = "pin:target=2,value=2,row=1,mu=1e308"
+    with np.errstate(over="ignore"):
+        code = run(["design", "--game", str(tmp_path / "game.json"),
+                    "--player", "1", "--relation", spec])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert repr(spec) in err and "row 1 overflow" in err
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +571,13 @@ BAD_ASSIGNMENTS = {
     "designer_out_of_range": (lambda d: d.update(designer=5), "designer 5"),
     "rows_wrong_shape": (lambda d: d.update(rows=[r + r for r in d["rows"]]),
                          "rows have shape (2, 8), expected (2, 4)"),
+    "rows_column_sum": (lambda d: d.update(rows=[[.5, .5, .5, .5],
+                                                 [.2, .5, .5, .5]]),
+                        "rows: column 1 sums to 0.7"),
+    "relation_numeric_strings": (
+        lambda d: d["relations"][0].update(coeffs=["0", "1"], constant="-2",
+                                           mu="0.1"),
+        "bad 'relations' entry"),
 }
 
 
@@ -592,6 +620,15 @@ BAD_GAME_FIELDS = {
     "count_string": ({"strategy_counts": ["2", 2]}, "'strategy_counts'"),
     "counts_not_list": ({"strategy_counts": "22"}, "'strategy_counts'"),
 }
+
+
+def test_design_ignores_unknown_game_keys(tmp_path):
+    doc = {"players": 2, "strategy_counts": [2, 2], "payoffs": PD_GAME.tolist(),
+           "labels": 5}
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    assert run(["design", "--game", str(path), "--player", "1",
+                "--relation", "pin:target=2,value=2,row=1,mu=auto"]) == 0
 
 
 @pytest.mark.parametrize("case", list(BAD_GAME_FIELDS))

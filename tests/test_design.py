@@ -16,7 +16,6 @@ from zdkit import (
     verify_effectiveness,
 )
 from zdkit.design import (
-    DesignedRow,
     design_pinning,
     design_row,
     feasible_mu_interval,
@@ -59,9 +58,9 @@ def test_linear_relation_constructors():
 
 def test_pinning_rows_reproduce_golden_vectors(pinning_game):
     a1 = design_pinning(pinning_game, i=2, target=1, value=4, mu=0.1, row=1)
-    np.testing.assert_allclose(a1.designed[1].row, PINNING_ROW_1, atol=1e-12)
+    np.testing.assert_allclose(a1.rows[0], PINNING_ROW_1, atol=1e-12)
     a2 = design_pinning(pinning_game, i=2, target=3, value=3, mu=0.1, row=2)
-    np.testing.assert_allclose(a2.designed[2].row, PINNING_ROW_2, atol=1e-12)
+    np.testing.assert_allclose(a2.rows[1], PINNING_ROW_2, atol=1e-12)
     assert rationality_check(a1).verdict
     assert rationality_check(a2).verdict
 
@@ -70,8 +69,8 @@ def test_extortion_rows_reproduce_golden_vectors(extortion_game):
     a = design_extortion(extortion_game, i=2, reference=1,
                          targets={1: 1.1, 3: 1.2}, mus={1: 0.05, 3: 0.1},
                          rows={1: 1, 3: 2})
-    np.testing.assert_allclose(a.designed[1].row, EXTORTION_ROW_1, atol=1e-12)
-    np.testing.assert_allclose(a.designed[2].row, EXTORTION_ROW_2, atol=1e-12)
+    np.testing.assert_allclose(a.rows[0], EXTORTION_ROW_1, atol=1e-12)
+    np.testing.assert_allclose(a.rows[1], EXTORTION_ROW_2, atol=1e-12)
     assert rationality_check(a).verdict
 
 
@@ -199,11 +198,8 @@ def test_effectiveness_limit_failure_on_periodic_chain():
     payoffs = np.tile(np.arange(4.0), (2, 1))
     game = GameSpec(k=(2, 2), payoffs=payoffs)
     rel = LinearRelation((1.0, -1.0), 0.0)
-    a = ZDAssignment(
-        designer=1, k=2, kappa=4,
-        designed={1: DesignedRow(
-            strategy=1, relation=rel, mu=0.5, row=design_row(game, 1, 1, rel, 0.5))},
-    )
+    row = design_row(game, 1, 1, rel, 0.5)
+    a = ZDAssignment(designer=1, rows=[row, 1.0 - row], relations=((1, rel, 0.5),))
     switch = build_rule(2, [[0, 1, 0, 1], [1, 0, 1, 0]])
     report = verify_effectiveness(game, a, {2: switch})
     assert not report.effective
@@ -214,11 +210,8 @@ def test_effectiveness_rank_failure_on_two_block_chain():
     payoffs = np.tile(np.arange(4.0), (2, 1))
     game = GameSpec(k=(2, 2), payoffs=payoffs)
     rel = LinearRelation((1.0, -1.0), 0.0)
-    a = ZDAssignment(
-        designer=1, k=2, kappa=4,
-        designed={1: DesignedRow(
-            strategy=1, relation=rel, mu=0.5, row=design_row(game, 1, 1, rel, 0.5))},
-    )
+    row = design_row(game, 1, 1, rel, 0.5)
+    a = ZDAssignment(designer=1, rows=[row, 1.0 - row], relations=((1, rel, 0.5),))
     # opponent mixes uniformly regardless of state; the designer's own move
     # never changes, so the chain splits into two independent blocks
     uniform = build_rule(2, np.full((2, 4), 0.5))
@@ -261,28 +254,45 @@ def test_assignment_json_roundtrip(extortion_game):
                          rows={1: 1, 3: 2})
     doc = a.to_json()
     b = ZDAssignment.from_json(doc)
-    assert b.designer == 2 and sorted(b.designed) == [1, 2]
-    np.testing.assert_array_equal(a.rule_matrix(), b.rule_matrix())
-    for j in (1, 2):
-        assert b.designed[j].relation == a.designed[j].relation
-        assert b.designed[j].mu == a.designed[j].mu
+    assert b.designer == 2 and [j for j, _, _ in b.relations] == [1, 2]
+    np.testing.assert_array_equal(a.rows, b.rows)
+    for (_, rel_b, mu_b), (_, rel_a, mu_a) in zip(b.relations, a.relations):
+        assert rel_b == rel_a
+        assert mu_b == mu_a
 
 
-def test_rule_matrix_residual_row(extortion_game):
+def test_undesigned_row_takes_residual_mass(extortion_game):
     a = design_extortion(extortion_game, i=2, reference=1,
                          targets={1: 1.1, 3: 1.2}, mus={1: 0.05, 3: 0.1},
                          rows={1: 1, 3: 2})
-    m = a.rule_matrix()
+    m = a.rows
     np.testing.assert_allclose(m.sum(axis=0), np.ones(12), atol=1e-12)
     np.testing.assert_allclose(m[2], 1.0 - m[0] - m[1], atol=1e-12)
 
 
 def test_assignment_rejects_too_many_designed_rows():
     rel = LinearRelation((1.0, 0.0), 0.0)
-    rows = {j: DesignedRow(strategy=j, relation=rel, mu=0.1, row=np.zeros(4))
-            for j in (1, 2)}
     with pytest.raises(DomainError):
-        ZDAssignment(designer=1, k=2, kappa=4, designed=rows)
+        ZDAssignment(designer=1, rows=np.zeros((2, 4)),
+                     relations=tuple((j, rel, 0.1) for j in (1, 2)))
+
+
+def test_rationality_counts_non_finite_entries():
+    rows = np.array([[0.5, np.nan, 0.5, np.inf], [0.5, 0.5, 0.5, 0.5]])
+    a = ZDAssignment(designer=1, rows=rows,
+                     relations=((1, LinearRelation((1.0, 0.0)), 0.1),))
+    report = rationality_check(a)
+    assert not report.verdict
+    assert [v[:2] for v in report.row_violations] == [(1, 2), (1, 4)]
+    assert [s for s, _ in report.sum_violations] == [2, 4]
+    assert report.worst_margin == np.inf
+
+
+def test_assemble_rejects_zero_relation_row():
+    game = GameSpec(k=(2, 2), payoffs=[[1, 2, 3, 4], [2, 2, 2, 2]])
+    for mu in (None, 0.1):
+        with pytest.raises(DomainError, match="row 1 is identically zero"):
+            assemble(game, 1, [(1, LinearRelation.pinning(2, 2, 2.0), mu)])
 
 
 def test_effectiveness_irrational_design_not_evaluated(extortion_game):
@@ -291,7 +301,7 @@ def test_effectiveness_irrational_design_not_evaluated(extortion_game):
     a = design_extortion(extortion_game, i=2, reference=1,
                          targets={1: 1.1, 3: 1.2}, mus={1: 2.0, 3: 3.0},
                          rows={1: 1, 3: 2})
-    assert a.rule_matrix().min() < 0
+    assert a.rows.min() < 0
     rng = np.random.default_rng(24)
     opponents = {1: random_interior_rule(rng, 1, 2, 12),
                  3: random_interior_rule(rng, 3, 2, 12)}
@@ -337,13 +347,14 @@ def loop_rationality(assignment, tol=1e-12):
     row_viol = []
     worst = 0.0
     total = np.zeros(assignment.kappa)
-    for d in assignment.designed_rows:
-        total += d.row
+    for j, _, _ in assignment.relations:
+        row = assignment.rows[j - 1]
+        total += row
         for s in range(assignment.kappa):
-            v = d.row[s]
+            v = row[s]
             excess = max(-v, v - 1.0)
             if excess > tol:
-                row_viol.append((d.strategy, s + 1, float(v)))
+                row_viol.append((j, s + 1, float(v)))
                 worst = max(worst, excess)
     sum_viol = []
     for s in range(assignment.kappa):
@@ -378,16 +389,14 @@ def check_against_loops(game, designer, specs):
         intervals[j] = (lo, hi)
     verdicts = set()
     for scale in (0.5, 1.0, 3.0, -2.0):
-        designed = {}
+        designed = []
         for j, rel in specs:
             lo, hi = intervals[j]
             mu = scale * (hi if hi > -lo else lo)
             if not np.isfinite(mu) or mu == 0.0:
                 mu = scale * 0.1
-            designed[j] = DesignedRow(j, rel, mu,
-                                      design_row(game, designer, j, rel, mu))
-        a = ZDAssignment(designer=designer, k=game.k[designer - 1],
-                         kappa=game.kappa, designed=designed)
+            designed.append((j, rel, mu))
+        a = assemble(game, designer, designed)
         report = rationality_check(a)
         verdict, worst, row_viol, sum_viol = loop_rationality(a)
         assert report.verdict == verdict
@@ -462,10 +471,10 @@ def test_assemble_auto_mu_and_row_checks(pinning_game):
     rel = LinearRelation.pinning(3, 1, 4)
     lo, hi = feasible_mu_interval(pinning_game, 2, 1, rel)
     auto = assemble(pinning_game, 2, [(1, rel, None)])
-    assert auto.designed[1].mu == (hi / 2 if hi > -lo else lo / 2)
+    assert auto.relations[0][2] == (hi / 2 if hi > -lo else lo / 2)
     np.testing.assert_array_equal(
-        auto.designed[1].row,
-        design_row(pinning_game, 2, 1, rel, auto.designed[1].mu))
+        auto.rows[0],
+        design_row(pinning_game, 2, 1, rel, auto.relations[0][2]))
     with pytest.raises(DomainError, match="row 1 designed twice"):
         assemble(pinning_game, 2, [(1, rel, 0.1), (1, rel, 0.2)])
     # w = V_1 = (1, -1, 0, 0) changes sign inside phi(1, 1): only mu = 0 fits

@@ -33,7 +33,6 @@ from zdkit import (
 )
 from zdkit.cli import DEFAULT_SEED, _random_interior_rule, parse_relation_spec
 from zdkit.design import (
-    DesignedRow,
     design_pinning,
     design_row,
     feasible_mu_interval,
@@ -79,8 +78,8 @@ def assert_matches_references(L):
     assert chain.limit_identical_columns == identical
 
     report = analyze(m)
-    assert (report.primitive, report.witness_s, report.rank_defect,
-            report.limit_converged, report.periods) == (
+    assert (report.primitive, report.witness, report.rank_defect,
+            report.aperiodic, report.periods) == (
         chain.primitive, chain.witness, chain.rank_defect, chain.aperiodic,
         chain.periods)
 
@@ -122,8 +121,9 @@ def _repeat_designer():
     """test_design's "repeat my move" designer on the equal-payoff game."""
     game = GameSpec(k=(2, 2), payoffs=np.tile(np.arange(4.0), (2, 1)))
     rel = LinearRelation((1.0, -1.0), 0.0)
-    return ZDAssignment(designer=1, k=2, kappa=4, designed={1: DesignedRow(
-        strategy=1, relation=rel, mu=0.5, row=design_row(game, 1, 1, rel, 0.5))})
+    row = design_row(game, 1, 1, rel, 0.5)
+    return ZDAssignment(designer=1, rows=[row, 1.0 - row],
+                        relations=((1, rel, 0.5),))
 
 
 def _extortion(game):
@@ -209,9 +209,9 @@ def existing_test_chains():
     chains["acceptance.08"] = drawn
     fop = reduce_to_fop(fig1_network(), "A")
     rel = LinearRelation.pinning(2, 2, 2.0)
-    pin_a = ZDAssignment(designer=1, k=2, kappa=6, designed={1: DesignedRow(
-        strategy=1, relation=rel, mu=-1 / 16,
-        row=design_row(fop.game, 1, 1, rel, -1 / 16))})
+    row = design_row(fop.game, 1, 1, rel, -1 / 16)
+    pin_a = ZDAssignment(designer=1, rows=[row, 1.0 - row],
+                         relations=((1, rel, -1 / 16),))
     chains["acceptance.09"] = _designed_chains(
         fop.game, pin_a, np.random.default_rng(109), (2,), 20)
     rng = np.random.default_rng(288)

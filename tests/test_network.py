@@ -130,7 +130,7 @@ def test_fop_extortion_design_shape():
     assignment = design_extortion(fop.game, i=1, reference=P, targets={2: 1.5},
                                   mus={2: 0.01}, rows={2: 1})
     assert assignment.kappa == 8
-    assert assignment.designed[1].relation.coeffs == (1.0, -1.5)
+    assert assignment.relations[0][1].coeffs == (1.0, -1.5)
 
 
 def test_fop_mu_outside_interval_fails_rationality():
