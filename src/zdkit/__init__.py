@@ -26,7 +26,7 @@ from .errors import (
     ZDKitError,
 )
 from .games import GameSpec
-from .markov import StrategyRule, analyze, build_pee, build_rule
+from .markov import analyze, build_pee, build_rule
 from .montecarlo import compare_empirical_vs_exact, simulate
 from .network import NetworkGame, reduce_to_fop
 

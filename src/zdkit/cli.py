@@ -23,7 +23,7 @@ from .design import (
     rationality_check,
     verify_effectiveness,
 )
-from .errors import DomainError, ValidationError, ZDKitError
+from .errors import ValidationError, ZDKitError
 from .games import GameSpec, numeric_table, read_json
 from .markov import analyze, build_pee, build_rule, check_stochastic
 from .montecarlo import compare_empirical_vs_exact, simulate
@@ -43,7 +43,7 @@ def _parse_kv(body: str) -> dict:
     out = {}
     for part in body.split(","):
         if "=" not in part:
-            raise ValidationError(f"malformed relation field {part!r}")
+            raise ValidationError(f"malformed field {part!r}")
         key, value = part.split("=", 1)
         out[key.strip()] = value.strip()
     return out
@@ -64,52 +64,40 @@ def parse_relation_spec(spec: str, game: GameSpec, designer: int):
       extort:target=M,factor=CHI,r=R,row=J,mu=MU
       lin:coeffs=A1:A2:...:AN,constant=A0,row=J,mu=MU
     mu may be the literal 'auto' (returned as None) to take the midpoint of
-    the feasible interval.  row must be a strategy of the designer and lin
-    needs one coefficient per player.  Errors name the spec and the field.
+    the feasible interval.  Only the syntax is checked here: assemble checks
+    the designer, the row and the coefficient count.  Errors name the field;
+    _assemble_specs names the spec.
     """
-    if not 1 <= designer <= game.n:
-        raise ValidationError(f"designer {designer} is not a player in 1..{game.n}")
     if ":" not in spec:
-        raise ValidationError(f"relation spec {spec!r} missing 'kind:' prefix")
+        raise ValidationError("missing 'kind:' prefix")
     kind, body = spec.split(":", 1)
     fields = _parse_kv(body)
 
     def field(key, convert=_finite, what="a finite number"):
         if key not in fields:
-            raise ValidationError(f"relation spec {spec!r} missing field '{key}'")
+            raise ValidationError(f"missing field '{key}'")
         try:
             return convert(fields[key])
         except ValueError:
-            raise ValidationError(f"relation spec {spec!r}: field "
-                                  f"{key}={fields[key]!r} is not {what}") from None
+            raise ValidationError(
+                f"field {key}={fields[key]!r} is not {what}") from None
 
     row = field("row", int, "an integer")
-    if not 1 <= row <= game.k[designer - 1]:
-        raise ValidationError(
-            f"relation spec {spec!r}: row {row} outside 1..{game.k[designer - 1]}, "
-            f"the strategies of player {designer}")
     mu = None if fields.get("mu", "auto") == "auto" else field("mu")
-    try:
-        if kind == "pin":
-            relation = LinearRelation.pinning(
-                game.n, field("target", int, "an integer"), field("value"))
-        elif kind == "extort":
-            relation = LinearRelation.extortion(
-                game.n, designer, field("target", int, "an integer"),
-                field("factor"), field("r"))
-        elif kind == "lin":
-            coeffs = field("coeffs", lambda t: tuple(map(_finite, t.split(":"))),
-                           "a list of finite numbers")
-            if len(coeffs) != game.n:
-                raise ValidationError(
-                    f"relation spec {spec!r}: coeffs has {len(coeffs)} entries "
-                    f"for {game.n} players")
-            relation = LinearRelation(
-                coeffs, field("constant") if "constant" in fields else 0.0)
-        else:
-            raise ValidationError(f"unknown relation kind {kind!r}")
-    except DomainError as exc:
-        raise ValidationError(f"relation spec {spec!r}: {exc}") from None
+    if kind == "pin":
+        relation = LinearRelation.pinning(
+            game.n, field("target", int, "an integer"), field("value"))
+    elif kind == "extort":
+        relation = LinearRelation.extortion(
+            game.n, designer, field("target", int, "an integer"),
+            field("factor"), field("r"))
+    elif kind == "lin":
+        coeffs = field("coeffs", lambda t: tuple(map(_finite, t.split(":"))),
+                       "a list of finite numbers")
+        relation = LinearRelation(
+            coeffs, field("constant") if "constant" in fields else 0.0)
+    else:
+        raise ValidationError(f"unknown relation kind {kind!r}")
     return row, relation, mu
 
 
@@ -118,6 +106,8 @@ def _assemble_specs(game: GameSpec, designer: int, specs) -> ZDAssignment:
 
     assemble takes the parsed triples one at a time and raises about a row
     before taking the next, so the spec parsed last is the one at fault.
+    An error raised before the first spec is taken (a bad designer) names
+    none.
     """
     spec = None
 
@@ -128,7 +118,9 @@ def _assemble_specs(game: GameSpec, designer: int, specs) -> ZDAssignment:
 
     try:
         return assemble(game, designer, triples())
-    except DomainError as exc:
+    except ZDKitError as exc:
+        if spec is None:
+            raise
         raise ValidationError(f"relation spec {spec!r}: {exc}") from None
 
 
@@ -187,6 +179,8 @@ def _random_interior_rule(rng, player: int, k: int, kappa: int):
 
 def _random_trials(seed, game: GameSpec, designer: int, count: int) -> list:
     """count draws of a random interior rule for every other player."""
+    if count < 0:
+        raise ValidationError(f"--random-opponents must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
     return [{p: _random_interior_rule(rng, p, game.k[p - 1], game.kappa)
              for p in range(1, game.n + 1) if p != designer}

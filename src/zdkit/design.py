@@ -27,16 +27,12 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, ValidationError
 from .games import GameSpec, numeric_table, read_json
-from .markov import (
-    POSITIVITY_TOL,
-    StrategyRule,
-    build_pee,
-    chain_structure,
-    solve_stationary,
-)
+from .markov import POSITIVITY_TOL, build_pee, chain_structure, solve_stationary
 from .stp import DEFAULT_TOL
 
 RESIDUAL_TOL = 1e-8
+# largest excess over [0, 1] a rational design's entries and sums may have
+RATIONALITY_TOL = 1e-12
 
 
 def _check_player(n: int, p: int, role: str):
@@ -85,7 +81,7 @@ class LinearRelation:
         """The kappa-length row sum_m a_m V_m + a_0 * 1."""
         if len(self.coeffs) != game.n:
             raise DimensionError(
-                f"relation has {len(self.coeffs)} coefficients for {game.n} players"
+                f"relation coeffs has {len(self.coeffs)} entries for {game.n} players"
             )
         return np.asarray(self.coeffs) @ game.payoffs + self.constant
 
@@ -138,10 +134,10 @@ class ZDAssignment:
     def kappa(self) -> int:
         return self.rows.shape[1]
 
-    def as_rule(self) -> StrategyRule:
+    def as_rule(self) -> np.ndarray:
         # no [0,1] validation here: an irrational design still yields a
         # column-stochastic-by-sums matrix that verification must handle
-        return StrategyRule(player=self.designer, matrix=self.rows)
+        return self.rows
 
     def to_json(self) -> dict:
         return {
@@ -229,13 +225,18 @@ def assemble(game: GameSpec, designer: int, rows) -> ZDAssignment:
     """The designer's assignment from (j, relation, mu) triples, one per row.
 
     Every designed row is built here, in the order given, and an error about
-    a row is raised before the next triple is taken.  mu=None takes the
-    midpoint of the larger half of the feasible mu interval, away from the
-    excluded 0.  The undesigned rows split the column mass the designed
-    ones leave, summed in ascending j.
+    a row is raised before the next triple is taken; the designer is checked
+    before the first.  mu=None takes the midpoint of the larger half of the
+    feasible mu interval, away from the excluded 0.  The undesigned rows
+    split the column mass the designed ones leave, summed in ascending j.
     """
+    _check_player(game.n, designer, "designer")
+    k = game.k[designer - 1]
     designed, relations = {}, []
     for j, relation, mu in rows:
+        if not 1 <= j <= k:
+            raise DomainError(
+                f"row {j} outside 1..{k}, the strategies of player {designer}")
         if j in designed:
             raise DomainError(f"row {j} designed twice")
         if not relation.row(game).any():
@@ -254,7 +255,6 @@ def assemble(game: GameSpec, designer: int, rows) -> ZDAssignment:
         if not np.isfinite(designed[j]).all():
             raise DomainError(f"mu = {mu:g} makes row {j} overflow")
         relations.append((j, relation, mu))
-    k = game.k[designer - 1]
     m = np.zeros((k, game.kappa))
     assigned = np.zeros(game.kappa)
     for j in sorted(designed):
@@ -310,11 +310,12 @@ def _excess(values) -> np.ndarray:
     return np.where(np.isnan(excess), np.inf, excess)
 
 
-def rationality_check(assignment: ZDAssignment, tol: float = 1e-12) -> RationalityReport:
+def rationality_check(assignment: ZDAssignment) -> RationalityReport:
     """Designed rows must lie in [0,1] entrywise and sum entrywise into [0,1].
 
-    Violations are listed row by row, each in profile order; worst_margin is
-    the largest excess over [0, 1] among them (0.0 when there are none).
+    An excess over [0, 1] beyond RATIONALITY_TOL is a violation.  Violations
+    are listed row by row, each in profile order; worst_margin is the
+    largest excess among them (0.0 when there are none).
     A non-finite entry is a violation with an infinite excess.
     """
     row_viol = []
@@ -324,12 +325,12 @@ def rationality_check(assignment: ZDAssignment, tol: float = 1e-12) -> Rationali
         row = assignment.rows[j - 1]
         total += row
         excess = _excess(row)
-        bad = np.flatnonzero(excess > tol)
+        bad = np.flatnonzero(excess > RATIONALITY_TOL)
         row_viol += [(j, s + 1, v) for s, v in
                      zip(bad.tolist(), row[bad].tolist())]
         worst = max(worst, excess[bad].max(initial=0.0))
     excess = _excess(total)
-    bad = np.flatnonzero(excess > tol)
+    bad = np.flatnonzero(excess > RATIONALITY_TOL)
     sum_viol = [(s + 1, v) for s, v in zip(bad.tolist(), total[bad].tolist())]
     worst = max(worst, excess[bad].max(initial=0.0))
     return RationalityReport(
@@ -384,9 +385,9 @@ def verify_effectiveness(game: GameSpec, assignment: ZDAssignment,
                          residual_tol: float = RESIDUAL_TOL) -> EffectivenessReport:
     """Check whether the designed payoff relations hold at stationarity.
 
-    opponent_rules maps every player other than the designer to a
-    StrategyRule.  The verdict requires the power limit of the full
-    transition matrix to exist with identical columns and
+    opponent_rules maps every player other than the designer to a rule
+    array (markov.build_rule).  The verdict requires the power limit of the
+    full transition matrix to exist with identical columns and
     rank(L - I) = kappa - 1.  Both are decided exactly from the transition
     graph: the rank condition holds iff the chain has one closed class, the
     limit condition iff that class is also aperiodic.  When both hold the
@@ -400,9 +401,9 @@ def verify_effectiveness(game: GameSpec, assignment: ZDAssignment,
     rules = []
     for p in range(1, game.n + 1):
         r = assignment.as_rule() if p == assignment.designer else opponent_rules[p]
-        if r.k != game.k[p - 1]:
+        if r.shape[0] != game.k[p - 1]:
             raise DimensionError(
-                f"player {p} rule has {r.k} strategies, expected {game.k[p - 1]}"
+                f"player {p} rule has {r.shape[0]} strategies, expected {game.k[p - 1]}"
             )
         rules.append(r)
     L = build_pee(rules)

@@ -1,6 +1,6 @@
 """Strategy update rules, the profile transition matrix, and its Markov analysis.
 
-Each player's memory-one rule is a column-stochastic k_i x kappa matrix whose
+Each player's memory-one rule is a column-stochastic k_i x kappa array whose
 column r is the distribution of the player's next strategy given that the
 current joint profile is r.  Multiplying all rules together (column-wise
 Kronecker / Khatri-Rao) yields the kappa x kappa transition matrix L of the
@@ -31,59 +31,34 @@ from .stp import DEFAULT_TOL, khatri_rao
 
 # strict-positivity threshold for primitivity checks
 POSITIVITY_TOL = 1e-12
+# largest residual max |L u - u| analyze accepts from the stationary solve
+STATIONARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class StrategyRule:
-    """Memory-one mixed rule of one player: k_i x kappa, column-stochastic."""
-
-    player: int
-    matrix: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def kappa(self) -> int:
-        return self.matrix.shape[1]
-
-
-def build_rule(player: int, probs, tol: float = DEFAULT_TOL) -> StrategyRule:
-    """Validate a probability table (rows = strategies, cols = profiles)."""
-    m = np.asarray(probs, dtype=float)
+def build_rule(player: int, probs) -> np.ndarray:
+    """A player's rule, read-only: rows = strategies, cols = profiles."""
+    m = np.array(probs, dtype=float)
     if m.ndim != 2 or m.shape[0] < 2:
         raise DimensionError(f"rule must be a 2-D matrix with >= 2 rows, got {m.shape}")
-    if np.any(m < -tol) or np.any(m > 1 + tol):
-        bad = int(np.argwhere((m < -tol) | (m > 1 + tol))[0][1]) + 1
-        raise ValidationError(
-            f"player {player} rule has probabilities outside [0,1] at profile {bad}"
-        )
-    sums = m.sum(axis=0)
-    off = np.abs(sums - 1.0) > tol
-    if np.any(off):
-        r = int(np.argwhere(off)[0][0]) + 1
-        raise ValidationError(
-            f"player {player} rule column for profile {r} sums to {sums[r - 1]:.6g}, not 1"
-        )
-    m = m.copy()
+    check_stochastic(m, f"player {player} rule")
     m.setflags(write=False)
-    return StrategyRule(player=player, matrix=m)
+    return m
 
 
 def build_pee(rules) -> np.ndarray:
-    """The kappa x kappa Khatri-Rao product of the players' rules, in order."""
+    """The kappa x kappa Khatri-Rao product of the players' rules.
+
+    rules are arrays in player order; an error names a rule by its position.
+    """
     rules = list(rules)
     if not rules:
         raise DimensionError("need at least one rule")
-    kappa = rules[0].matrix.shape[1]
-    for r in rules:
-        if r.matrix.shape[1] != kappa:
+    kappa = rules[0].shape[1]
+    for p, r in enumerate(rules, start=1):
+        if r.shape[1] != kappa:
             raise DimensionError(
-                f"rule of player {r.player} has {r.matrix.shape[1]} profile "
-                f"columns, expected {kappa}"
-            )
-    L = reduce(khatri_rao, (r.matrix for r in rules))
+                f"rule {p} has {r.shape[1]} profile columns, expected {kappa}")
+    L = reduce(khatri_rao, rules)
     if L.shape != (kappa, kappa):
         raise DimensionError(
             f"rules yield a {L.shape} matrix; strategy counts do not multiply "
@@ -133,20 +108,20 @@ def nullspace_stationary(L) -> np.ndarray:
 
 
 def check_stochastic(L, source: str = "L") -> np.ndarray:
-    """The matrix of L, or ValidationError naming its first bad column.
+    """The table L as floats, or ValidationError naming its first bad column.
 
     Every entry must be >= -POSITIVITY_TOL and every column must sum to 1
-    within DEFAULT_TOL; NaN fails both.  source names the matrix in the
+    within DEFAULT_TOL; NaN fails both.  source names the table in the
     message, e.g. the file it was read from.
     """
-    m = _matrix_of(L)
+    m = np.asarray(L, dtype=float)
     sums = m.sum(axis=0)
     bad = ~(m >= -POSITIVITY_TOL).all(axis=0) | ~(np.abs(sums - 1.0) <= DEFAULT_TOL)
     if bad.any():
         c = int(np.argmax(bad))
         raise ValidationError(
-            f"{source}: column {c + 1} is not a probability distribution "
-            f"(sum {sums[c]:.6g}, smallest entry {m[:, c].min():.6g})")
+            f"{source}: column {c + 1} (profile {c + 1}) is not a probability "
+            f"distribution (sum {sums[c]:.6g}, smallest entry {m[:, c].min():.6g})")
     return m
 
 
@@ -244,7 +219,7 @@ def chain_structure(L) -> ChainStructure:
     Exact: no float tolerance beyond POSITIVITY_TOL for the pattern itself.
     Raises ValidationError when L is not column-stochastic.
     """
-    m = check_stochastic(L)
+    m = check_stochastic(_matrix_of(L))
     kappa = m.shape[0]
     step = m > POSITIVITY_TOL  # step[i, j]: one move goes from j to i
     if step.all():
@@ -288,9 +263,9 @@ def solve_stationary(L):
     return u, float(np.max(np.abs(m @ u - u)))
 
 
-def stationary_distribution(L, tol: float = 1e-10) -> np.ndarray:
+def stationary_distribution(L) -> np.ndarray:
     """Unique positive stationary distribution of a primitive chain."""
-    u = analyze(L, tol).stationary
+    u = analyze(L).stationary
     if u is None:
         raise AnalysisError("chain is not primitive; stationary vector not unique")
     return u
@@ -334,18 +309,18 @@ def power_limit(L, max_t: int = 1 << 20, tol: float = 1e-12) -> PowerLimit:
     return PowerLimit(converged=False, matrix=None, steps=t)
 
 
-def analyze(L, tol: float = 1e-10) -> ChainStructure:
+def analyze(L) -> ChainStructure:
     """Exact chain structure of a stochastic L, plus its stationary vector
     and that solve's residual when L is primitive.
 
     Raises AnalysisError when the primitive chain's solve gives a vector
-    that is not positive or whose residual exceeds tol.
+    that is not positive or whose residual exceeds STATIONARY_TOL.
     """
     chain = chain_structure(L)
     if not chain.primitive:
         return chain
     u, residual = solve_stationary(L)
-    if np.min(u) <= 0 or residual > tol:
+    if np.min(u) <= 0 or residual > STATIONARY_TOL:
         raise AnalysisError(
             f"stationary solve failed the fixed-point check "
             f"(residual {residual:.3g}, smallest entry {np.min(u):.3g})")

@@ -174,14 +174,14 @@ def xi_sum_identity(rules, i: int, j: int, tol: float = 1e-9) -> np.ndarray:
     ordering is inconsistent somewhere upstream.
     """
     rules = list(rules)
-    indexer = ProfileIndexer(tuple(r.k for r in rules))
+    indexer = ProfileIndexer(tuple(r.shape[0] for r in rules))
     if not 1 <= i <= len(rules):
         raise DomainError(f"player {i} outside 1..{len(rules)}")
     L = build_pee(rules)
     M = L - np.eye(indexer.kappa)
     members = [s - 1 for s in indexer.phi(i, j)]
     xi_sum = M[members].sum(axis=0)
-    expected = rules[i - 1].matrix[j - 1] - indexer.xi(i, j)
+    expected = rules[i - 1][j - 1] - indexer.xi(i, j)
     err = float(np.max(np.abs(xi_sum - expected)))
     if err > tol:
         raise ConsistencyError(

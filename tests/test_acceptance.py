@@ -147,7 +147,7 @@ def test_04_row_sum_identity_property_suite():
             for i, ki in enumerate(k, start=1):
                 for j in range(1, ki + 1):
                     lhs = M[[s - 1 for s in ix.phi(i, j)]].sum(axis=0)
-                    rhs = rules[i - 1].matrix[j - 1] - ix.xi(i, j)
+                    rhs = rules[i - 1][j - 1] - ix.xi(i, j)
                     worst = max(worst, np.max(np.abs(lhs - rhs)))
     elapsed = time.perf_counter() - t0
     verdict(4, f"row-sum identity on 300 random rule sets, max err "

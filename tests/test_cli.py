@@ -514,6 +514,7 @@ BAD_RELATIONS = {
     "coeffs_count": ("lin:coeffs=1:2:3,row=1", "coeffs"),
     "zero_relation_row": ("pin:target=2,value=2,row=1,mu=auto",
                           "identically zero"),
+    "unknown_kind": ("foo:row=1,mu=auto", "unknown relation kind 'foo'"),
 }
 
 # payoffs a case needs instead of PD_GAME: player 2 collects 2 at every
@@ -532,6 +533,19 @@ def test_malformed_relation_field_exits_two(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(spec) in err
     assert field in err.split(repr(spec), 1)[1]
+
+
+@pytest.mark.parametrize("player", ["0", "5"])
+def test_design_designer_not_a_player_exits_two(tmp_path, capsys, player):
+    # the designer is checked before any spec is taken, so none is named
+    GameSpec(k=(2, 2), payoffs=PD_GAME).save(tmp_path / "game.json")
+    code = run(["design", "--game", str(tmp_path / "game.json"),
+                "--player", player,
+                "--relation", "pin:target=2,value=2,row=1,mu=auto"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"designer player {player} outside 1..2" in err
+    assert "relation spec" not in err
 
 
 def test_design_mu_overflow_exits_two(tmp_path, capsys):
@@ -594,6 +608,18 @@ def test_verify_bad_assignment_file_exits_two(tmp_path, capsys, case):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err and named in err
+
+
+def test_negative_random_opponents_exits_two(network_file, tmp_path, capsys):
+    game, path = _assignment_file(tmp_path)
+    capsys.readouterr()
+    assert run(["verify", "--game", game, "--assignment", str(path),
+                "--random-opponents", "-3"]) == 2
+    assert "--random-opponents must be >= 0, got -3" in capsys.readouterr().err
+    assert run(["neg", "--network", network_file, "--node", "A",
+                "--relation", "pin:target=2,value=2,row=1,mu=auto",
+                "--random-opponents", "-1", "--out", str(tmp_path / "neg")]) == 2
+    assert "--random-opponents must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_simulate_checks_assignment_file(tmp_path, capsys):

@@ -41,7 +41,7 @@ def brute_force_pee(rules, indexer):
         for s in range(1, kappa + 1):
             prob = 1.0
             for i, j in enumerate(tup, start=1):
-                prob *= rules[i - 1].matrix[j - 1, s - 1]
+                prob *= rules[i - 1][j - 1, s - 1]
             L[s_next - 1, s - 1] = prob
     return L
 
@@ -142,7 +142,7 @@ def test_row_sum_identity_random_games(k):
             for j in range(1, k[i - 1] + 1):
                 rows = [s - 1 for s in ix.phi(i, j)]
                 brute = M[rows].sum(axis=0)
-                expected = rules[i - 1].matrix[j - 1] - ix.xi(i, j)
+                expected = rules[i - 1][j - 1] - ix.xi(i, j)
                 assert np.max(np.abs(brute - expected)) < 1e-10
                 np.testing.assert_allclose(
                     xi_sum_identity(rules, i, j), brute, atol=1e-12)

@@ -41,11 +41,16 @@ def test_build_rule_rejects_bad_columns():
         build_rule(1, [[1.2, 0.5], [-0.2, 0.5]])
 
 
+def test_build_rule_rejects_nan_naming_the_player():
+    with pytest.raises(ValidationError, match="player 1 rule: column 1"):
+        build_rule(1, [[np.nan, 0.5], [np.nan, 0.5]])
+
+
 def test_build_rule_deterministic_and_uniform():
     r = build_rule(1, [[1, 1, 1, 1], [0, 0, 0, 0]])
-    assert r.k == 2 and r.kappa == 4
+    assert r.shape[0] == 2 and r.shape[1] == 4
     u = build_rule(2, np.full((3, 6), 1 / 3))
-    assert np.all(u.matrix == 1 / 3)
+    assert np.all(u == 1 / 3)
 
 
 def test_build_pee_matches_pd_formula():
@@ -235,7 +240,7 @@ def test_rule_marginalization_roundtrip():
         for j in range(1, k[i - 1] + 1):
             rows = [s - 1 for s in ix.phi(i, j)]
             np.testing.assert_allclose(L[rows].sum(axis=0),
-                                       rules[i - 1].matrix[j - 1], atol=1e-12)
+                                       rules[i - 1][j - 1], atol=1e-12)
 
 
 def test_markov_report_json():

@@ -1,0 +1,95 @@
+"""Property tests of design and verification on small random games.
+
+Examples are derandomized, so every run checks the same games.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from conftest import random_interior_rule  # noqa: E402
+from oracles import xi_sum_identity  # noqa: E402
+from zdkit import GameSpec, LinearRelation, assemble  # noqa: E402
+from zdkit.design import (  # noqa: E402
+    RESIDUAL_TOL,
+    feasible_mu_interval,
+    verify_effectiveness,
+)
+from zdkit.games import ProfileIndexer  # noqa: E402
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=50,
+                             deadline=None)
+
+
+@st.composite
+def designs(draw, feasible=None):
+    """A game with kappa <= 24, one pin or extort design on it, and a seed.
+
+    A feasible game has payoffs that make the relation row negative on the
+    designed row's profiles and positive elsewhere, so its mu is drawn from
+    the feasible interval (or auto) and the design is rational; otherwise
+    the payoffs are uniform and mu is any nonzero number in [-1, 1].
+    """
+    if feasible is None:
+        feasible = draw(st.booleans())
+    k = tuple(draw(st.lists(st.integers(2, 4), min_size=2, max_size=3).filter(
+        lambda k: np.prod(k) <= 24)))
+    n, kappa = len(k), int(np.prod(k))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    payoffs = rng.uniform(-10, 10, (n, kappa))
+    designer = draw(st.integers(1, n))
+    target = draw(st.integers(1, n).filter(lambda m: m != designer))
+    row = draw(st.integers(1, k[designer - 1]))
+    pin = draw(st.booleans())
+    value, factor = draw(st.floats(-10, 10)), draw(st.floats(1, 3))
+    if feasible:
+        xi = ProfileIndexer(k).xi(designer, row)
+        w = (1 - 2 * xi) * rng.uniform(0.1, 10, kappa)
+        if pin:
+            payoffs[target - 1] = value + w
+        else:
+            payoffs[designer - 1] = value + factor * (payoffs[target - 1] - value) + w
+    game = GameSpec(k=k, payoffs=payoffs)
+    if pin:
+        relation = LinearRelation.pinning(n, target, value)
+    else:
+        relation = LinearRelation.extortion(n, designer, target, factor, value)
+    if feasible:
+        _, hi = feasible_mu_interval(game, designer, row, relation)
+        mu = draw(st.none() | st.floats(0.05, 1).map(lambda t: t * hi))
+    else:
+        mu = draw(st.floats(1e-3, 1)) * draw(st.sampled_from([-1, 1]))
+    return game, assemble(game, designer, [(row, relation, mu)]), seed
+
+
+def _opponents(game, assignment, seed):
+    rng = np.random.default_rng(seed + 1)
+    return {p: random_interior_rule(rng, p, game.k[p - 1], game.kappa)
+            for p in range(1, game.n + 1) if p != assignment.designer}
+
+
+@PROPERTY_SETTINGS
+@given(designs())
+def test_assembled_design_keeps_row_sum_identity(case):
+    game, assignment, seed = case
+    rules = _opponents(game, assignment, seed)
+    rules[assignment.designer] = assignment.as_rule()
+    rules = [rules[p] for p in range(1, game.n + 1)]
+    for j in range(1, assignment.k + 1):
+        xi_sum_identity(rules, assignment.designer, j)
+
+
+@PROPERTY_SETTINGS
+@given(designs(feasible=True))
+def test_both_conditions_force_every_relation(case):
+    game, assignment, seed = case
+    report = verify_effectiveness(game, assignment,
+                                  _opponents(game, assignment, seed))
+    assert report.rational
+    if report.limit_ok and report.rank_ok:
+        assert all(r < RESIDUAL_TOL for r in report.residuals)
+        assert report.effective
