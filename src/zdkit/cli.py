@@ -297,7 +297,7 @@ def cmd_neg(args) -> int:
         raise ValidationError("neg writes several artifacts; --out DIR is required")
     net = NetworkGame.load(args.network)
     node = args.node
-    if node not in net.adjacency and node.isdigit() and int(node) in net.adjacency:
+    if node not in net.position and node.isdigit() and int(node) in net.position:
         node = int(node)
     fop = reduce_to_fop(net, node)
     assignment = _assemble_specs(fop.game, 1, args.relation)

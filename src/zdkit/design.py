@@ -348,7 +348,8 @@ def feasible_mu_interval(game: GameSpec, i: int, j: int,
     Each profile s with w_s != 0 bounds mu by -xi_s / w_s and
     (1 - xi_s) / w_s; the interval is the intersection of those ranges.  It
     always contains 0, which is itself excluded from valid designs; an
-    interval collapsing to [0, 0] means no admissible mu.
+    interval collapsing to [0, 0] means no admissible mu.  A bound is never
+    -0.0, so messages print it as 0.
     """
     w = relation.row(game)
     xi = game.indexer.xi(i, j)
@@ -356,7 +357,7 @@ def feasible_mu_interval(game: GameSpec, i: int, j: int,
     a, b = -xi[nz] / w[nz], (1.0 - xi[nz]) / w[nz]
     lo = np.minimum(a, b).max(initial=-np.inf)
     hi = np.maximum(a, b).min(initial=np.inf)
-    return float(lo), float(hi)
+    return float(lo) + 0.0, float(hi) + 0.0  # -0.0 + 0.0 is +0.0
 
 
 @dataclass(frozen=True)

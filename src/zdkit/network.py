@@ -7,15 +7,19 @@ opponent whose strategies are the multisets of neighbor actions, i.e. count
 vectors (d_1, ..., d_k) summing to the node degree.  The reduced game is an
 ordinary two-player game, so the whole design pipeline applies to it.
 
-A NetworkGame indexes its adjacency once, in one pass over the edges that
-also validates them, so loading is linear in the size of the network and a
-node's neighbours are a dictionary lookup.  The reduced payoffs of a node
-are one product of its (k x m) count matrix with the base payoff.
+A NetworkGame holds its graph as integers: a dict from node id to position,
+an (E, 2) array of the positions of each edge's ends and the degree counts
+of that array.  Loading builds no object per node or edge beyond the
+position dict, checks every edge in bulk on those arrays, and is linear in
+the size of the network; a node's neighbours are computed from the end
+array when asked for.  The reduced payoffs of a node are one product of its
+(k x m) count matrix with the base payoff.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from itertools import chain
 from math import comb
 
 import numpy as np
@@ -32,48 +36,52 @@ class NetworkGame:
     """Simple undirected graph plus the symmetric base game payoff matrix.
 
     base_payoff[a-1][b-1] is the payoff of a player choosing a against an
-    opponent choosing b.  `adjacency` maps each node to its neighbours in
-    edge order (a dict used as an ordered set); building it rejects
-    duplicate nodes, self-loops, edges to unknown nodes and duplicate edges.
+    opponent choosing b.  `edges` is taken at construction as pairs of node
+    ids and read back as a tuple of (u, v) tuples rebuilt from `ends`, the
+    positions in `nodes` of each edge's ends; `position` maps each node to
+    its index and `degrees` counts the ends at each index.  Construction
+    rejects duplicate nodes, non-pair edges, self-loops, edges to unknown
+    nodes and duplicate edges, naming the first bad edge.
     """
 
     nodes: tuple
-    edges: tuple
+    edges: InitVar[tuple]
     base_payoff: np.ndarray
-    adjacency: dict = field(init=False, repr=False, compare=False)
+    position: dict = field(init=False, repr=False, compare=False)
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
+    degrees: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, edges):
         m = np.asarray(self.base_payoff, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise DimensionError(f"base payoff must be square (k >= 2), got {m.shape}")
         nodes = tuple(self.nodes)
-        adjacency = {}
-        for node in nodes:
-            if node in adjacency:
-                raise ValidationError(f"duplicate node {node!r}")
-            adjacency[node] = {}
-        edges = []
-        for edge in self.edges:
-            try:
-                u, v = edge
-            except (TypeError, ValueError):
-                raise ValidationError(f"edge {edge!r} is not a pair of nodes") from None
-            if u == v:
-                raise ValidationError(f"self-loop at node {u!r}")
-            try:
-                nu, nv = adjacency[u], adjacency[v]
-            except (KeyError, TypeError):  # TypeError: an unhashable end
-                raise ValidationError(
-                    f"edge ({u!r}, {v!r}) references unknown node") from None
-            if v in nu:
-                raise ValidationError(f"duplicate edge ({u!r}, {v!r})")
-            nu[v] = nv[u] = None
-            edges.append((u, v))
-        m.setflags(write=False)
+        n = len(nodes)
+        position = dict(zip(nodes, range(n)))
+        if len(position) < n:
+            seen = set()
+            dup = next(v for v in nodes if v in seen or seen.add(v))
+            raise ValidationError(f"duplicate node {dup!r}")
+        edges = tuple(edges)
+        try:
+            if not set(map(len, edges)) <= {2}:
+                raise ValueError
+            ends = np.fromiter(map(position.__getitem__, chain.from_iterable(edges)),
+                               dtype=np.intp, count=2 * len(edges)).reshape(-1, 2)
+        except (KeyError, TypeError, ValueError):  # a non-pair or unknown end
+            raise ValidationError(_first_bad_edge(position, edges)) from None
+        u, v = ends.T
+        keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        if (u == v).any() or (keys[1:] == keys[:-1]).any():
+            raise ValidationError(_first_bad_edge(position, edges))
+        degrees = np.bincount(ends.ravel(), minlength=n)
+        for a in (m, ends, degrees):
+            a.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "base_payoff", m)
-        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "degrees", degrees)
 
     @property
     def k(self) -> int:
@@ -81,17 +89,23 @@ class NetworkGame:
 
     def neighbors(self, node) -> tuple:
         """Neighbours of node in the order of the edges joining them."""
-        return tuple(self.adjacency.get(node, ()))
+        i = self.position.get(node)
+        if i is None:
+            return ()
+        rows, cols = np.nonzero(self.ends == i)  # row-major: in edge order
+        return tuple(map(self.nodes.__getitem__, self.ends[rows, 1 - cols].tolist()))
 
     def degree(self, node) -> int:
-        return len(self.adjacency.get(node, ()))
+        i = self.position.get(node)
+        return 0 if i is None else int(self.degrees[i])
 
     @classmethod
     def from_json(cls, doc: dict) -> "NetworkGame":
         """Network from a decoded network file.
 
         Node ids must be unique strings or integers, edges pairs of node ids
-        and base_game.payoff_bimatrix a square table of numbers.
+        (whose ends are checked to be strings or integers too) and
+        base_game.payoff_bimatrix a square table of numbers.
         """
         if not isinstance(doc, dict):
             raise ValidationError("network file must hold a JSON object")
@@ -107,6 +121,10 @@ class NetworkGame:
         if not set(map(type, edges)) <= {list}:
             bad = next(e for e in edges if type(e) is not list)
             raise ValidationError(f"edge {bad!r} is not a pair of nodes")
+        if not set(map(type, chain.from_iterable(edges))) <= _NODE_TYPES:
+            bad = next(e for e in edges if not set(map(type, e)) <= _NODE_TYPES)
+            raise ValidationError(
+                f"edge {bad!r} has an end that is not a string or an integer")
         if not isinstance(base, dict) or "payoff_bimatrix" not in base:
             raise ValidationError(
                 "network file missing required field 'base_game.payoff_bimatrix'")
@@ -136,6 +154,39 @@ class NetworkGame:
                 "payoff_bimatrix": [list(r) for r in self.base_payoff],
             },
         }
+
+
+def _edges(net: NetworkGame) -> tuple:
+    """The edges as (u, v) tuples of node ids, in the order given."""
+    u, v = (map(net.nodes.__getitem__, col) for col in net.ends.T.tolist())
+    return tuple(zip(u, v))
+
+
+# Set after the class body: a property there would become the default of the
+# `edges` init argument.
+NetworkGame.edges = property(_edges)
+
+
+def _first_bad_edge(position: dict, edges) -> str:
+    """The message for the first edge that is not a pair of distinct known
+    nodes or repeats an earlier edge in either orientation."""
+    seen = set()
+    for edge in edges:
+        try:
+            u, v = edge
+            len(edge)  # the bulk check takes each edge's length
+        except (TypeError, ValueError):
+            return f"edge {edge!r} is not a pair of nodes"
+        if u == v:
+            return f"self-loop at node {u!r}"
+        try:
+            pair = position[u], position[v]
+        except (KeyError, TypeError):  # TypeError: an unhashable end
+            return f"edge ({u!r}, {v!r}) references unknown node"
+        if pair in seen or pair[::-1] in seen:
+            return f"duplicate edge ({u!r}, {v!r})"
+        seen.add(pair)
+    raise AssertionError("the bulk edge check failed on valid edges")
 
 
 def opponent_strategy_set(k: int, degree: int) -> list:
@@ -178,7 +229,7 @@ def reduce_to_fop(net: NetworkGame, node) -> FOPGame:
     payoff for (a, counts) is sum_j counts[j] * payoff(a, j); the opponent
     payoff is the total the neighbors collect, sum_j counts[j] * payoff(j, a).
     """
-    if node not in net.adjacency:
+    if node not in net.position:
         raise DomainError(f"unknown node {node!r}")
     deg = net.degree(node)
     if deg < 1:

@@ -85,6 +85,13 @@ def test_design_rejects_zero_mu(pinning_game_file, capsys):
     assert "nonzero" in capsys.readouterr().err
 
 
+def test_design_no_rational_mu_prints_no_negative_zero(pinning_game_file, capsys):
+    code = run(["design", "--game", pinning_game_file, "--player", "2",
+                "--relation", "lin:coeffs=1:2:3,row=1"])
+    assert code == 2
+    assert "feasible mu interval [0, 0] for row 1" in capsys.readouterr().err
+
+
 def test_design_irrational_mu_exits_one(pinning_game_file, tmp_path):
     out = tmp_path / "a.json"
     code = run([
@@ -268,6 +275,16 @@ def test_neg_unknown_node(network_file, capsys):
     assert code == 2
 
 
+def test_neg_isolated_node_of_edgeless_network_exits_two(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({**_network_doc(), "edges": []}))
+    code = run(["neg", "--network", str(path), "--node", "b",
+                "--relation", "pin:target=2,value=2,row=1,mu=auto",
+                "--random-opponents", "0", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "node 'b' has no neighbors" in capsys.readouterr().err
+
+
 def test_assignment_file_roundtrip(extortion_game_file, tmp_path):
     assignment = tmp_path / "a.json"
     run([
@@ -388,6 +405,10 @@ def _bad_network(case):
         del doc["base_game"]["payoff_bimatrix"]
     elif case == "duplicate_node":
         doc["nodes"] = ["a", "b", "a", "c"]
+    elif case in ("edge_end_bool", "edge_end_float"):
+        # true and 2.0 equal the node ids 1 and 2 but are not ids themselves
+        doc["nodes"] = [1, 2, 3]
+        doc["edges"] = [[1, 2], [2.0, 3]] if case == "edge_end_float" else [[True, 2]]
     return json.dumps(doc)
 
 
@@ -400,6 +421,8 @@ BAD_NETWORK = {
     "payoff_numeric_string": "payoff_bimatrix: entry in row 2, column 1",
     "payoff_missing": "base_game.payoff_bimatrix",
     "duplicate_node": "duplicate node 'a'",
+    "edge_end_bool": "edge [True, 2] has an end that is not a string or an integer",
+    "edge_end_float": "edge [2.0, 3] has an end that is not a string or an integer",
 }
 
 

@@ -340,7 +340,7 @@ def loop_feasible_mu_interval(game, i, j, relation):
         if a > b:
             a, b = b, a
         lo, hi = max(lo, a), min(hi, b)
-    return lo, hi
+    return lo + 0.0, hi + 0.0  # a zero bound is +0.0, never -0.0
 
 
 def loop_rationality(assignment, tol=1e-12):

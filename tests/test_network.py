@@ -183,9 +183,17 @@ def scan_neighbors(net, node):
 
 
 def scan_validate(nodes, edges):
-    """The old per-edge checks: the first failing message, or None."""
+    """The old per-node and per-edge checks: the first failing message, or
+    None."""
+    for i, node in enumerate(nodes):
+        if node in nodes[:i]:
+            return f"duplicate node {node!r}"
     seen = set()
-    for u, v in edges:
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            return f"edge {edge!r} is not a pair of nodes"
         if u == v:
             return f"self-loop at node {u!r}"
         if u not in nodes or v not in nodes:
@@ -249,24 +257,56 @@ def test_indexed_network_matches_scan_references(seed, k, str_ids, int_payoffs):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def edge_faults(u, v, ghost):
+    """Bad edges around a valid edge (u, v) of a network without node ghost."""
+    return [(u, u), (v, u), (u, v), (u, ghost), (ghost, v), (ghost, ghost),
+            (u,), (u, v, u), 7, None, ([u], v), (u, {v: 1})]
+
+
+def check_against_scan(nodes, edges):
+    """The network loads exactly when scan_validate finds nothing, and a
+    bad one is refused with scan_validate's message."""
+    want = scan_validate(nodes, edges)
+    if want is None:
+        assert NetworkGame(nodes=nodes, edges=edges, base_payoff=PD).edges == edges
+        return
+    with pytest.raises(ValidationError) as exc:
+        NetworkGame(nodes=nodes, edges=edges, base_payoff=PD)
+    assert str(exc.value) == want
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_network_errors_match_scan_reference(seed):
     rng = np.random.default_rng([seed, 62])
     nodes, edges, _ = random_network(rng, 10, 0.4, 2, seed % 2 == 0, True)
     edges = list(edges)
     u, v = edges[int(rng.integers(len(edges)))]
-    ghost = "ghost" if seed % 2 == 0 else 99
-    faults = [(u, u), (v, u), (u, v), (u, ghost), (ghost, v), (ghost, ghost)]
+    faults = edge_faults(u, v, "ghost" if seed % 2 == 0 else 99)
     # one fault, then two at once; the first failing edge decides the message
     for extra in [[f] for f in faults] + [[faults[a], faults[b]] for a, b in
-                                         rng.integers(len(faults), size=(6, 2))]:
+                                         rng.integers(len(faults), size=(12, 2))]:
         bad = list(edges)
         for fault in extra:
             bad.insert(int(rng.integers(len(bad) + 1)), fault)
-        want = scan_validate(nodes, bad)
-        with pytest.raises(ValidationError) as exc:
-            NetworkGame(nodes=nodes, edges=tuple(bad), base_payoff=PD)
-        assert str(exc.value) == want
+        assert scan_validate(nodes, bad) is not None
+        check_against_scan(nodes, tuple(bad))
+    # a three-end edge last, whose first two ends are a new pair, is only
+    # caught by its length
+    rest = tuple(e for e in edges if {u, v} != set(e))
+    check_against_scan(nodes, rest + ((u, v, u),))
+    # repeated node ids at several positions; the first repeat is named
+    for repeats in (1, 2, 3, 3):
+        bad = list(nodes)
+        for node in rng.choice(len(nodes), repeats):
+            bad.insert(int(rng.integers(len(bad) + 1)), nodes[node])
+        assert scan_validate(bad, edges) is not None
+        check_against_scan(tuple(bad), tuple(edges))
+    # no edges at all: every node loads isolated and cannot be reduced
+    net = NetworkGame(nodes=nodes, edges=(), base_payoff=PD)
+    assert net.edges == () and net.ends.shape == (0, 2)
+    assert all(net.degree(node) == 0 and net.neighbors(node) == () for node in nodes)
+    with pytest.raises(DomainError, match="has no neighbors"):
+        reduce_to_fop(net, nodes[0])
 
 
 def test_network_rejects_duplicate_nodes():
@@ -279,6 +319,7 @@ def test_large_ring_loads_in_linear_time(tmp_path):
     # seconds at this size; the one-pass index is linear
     import json
     import time
+    import tracemalloc
 
     n = 20000
     ids = [f"n{i}" for i in range(n)]
@@ -293,3 +334,13 @@ def test_large_ring_loads_in_linear_time(tmp_path):
     assert all(net.degree(v) == 2 for v in ids)
     assert net.neighbors("n0") == ("n1", f"n{n - 1}")
     assert time.perf_counter() - start < 1.0
+    # what loading keeps is the position dict and the end and degree
+    # arrays; a dict per node or a tuple per edge would double it
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        net = NetworkGame.from_json(doc)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 150 * len(doc["edges"])

@@ -1,4 +1,5 @@
-"""Property tests of design and verification on small random games.
+"""Property tests of design and verification on small random games, and of
+network validation on small random networks.
 
 Examples are derandomized, so every run checks the same games.
 """
@@ -19,6 +20,7 @@ from zdkit.design import (  # noqa: E402
     verify_effectiveness,
 )
 from zdkit.games import ProfileIndexer  # noqa: E402
+from test_network import check_against_scan  # noqa: E402
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=50,
                              deadline=None)
@@ -93,3 +95,38 @@ def test_both_conditions_force_every_relation(case):
     if report.limit_ok and report.rank_ok:
         assert all(r < RESIDUAL_TOL for r in report.residuals)
         assert report.effective
+
+
+@st.composite
+def faulty_networks(draw):
+    """Nodes and edges of a small network, valid or with faults inserted.
+
+    A fault is a repeated node id or a bad edge: a self-loop, a repeat in
+    either orientation, an unknown or unhashable end, a tuple of one or
+    three ends, or no sequence at all.
+    """
+    n = draw(st.integers(1, 7))
+    ids = [f"v{i}" for i in range(n)] if draw(st.booleans()) else list(range(n))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pairs = draw(st.permutations(pairs))[:draw(st.integers(0, len(pairs)))]
+    edges = [(ids[a], ids[b]) if draw(st.booleans()) else (ids[b], ids[a])
+             for a, b in pairs]
+    nodes = list(ids)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1]))):
+        nodes.insert(draw(st.integers(0, len(nodes))), draw(st.sampled_from(ids)))
+    known = st.sampled_from(ids)
+    end = known | st.sampled_from(["ghost", n, [ids[0]]])
+    bad_edge = (known.map(lambda u: (u, u))
+                | st.sampled_from(edges or [(ids[0], ids[0])]).flatmap(
+                    lambda e: st.sampled_from([e, e[::-1]]))
+                | st.tuples(end, end) | st.tuples(end)
+                | st.tuples(known, known, known) | st.sampled_from([7, None]))
+    for fault in draw(st.lists(bad_edge, max_size=2)):
+        edges.insert(draw(st.integers(0, len(edges))), fault)
+    return tuple(nodes), tuple(edges)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(faulty_networks())
+def test_network_validation_matches_scan_reference(case):
+    check_against_scan(*case)
