@@ -31,7 +31,7 @@ from .games import GameSpec, numeric_table, read_json
 _NODE_TYPES = {str, int}  # exact types, so JSON true/false are refused
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkGame:
     """Simple undirected graph plus the symmetric base game payoff matrix.
 
@@ -41,15 +41,16 @@ class NetworkGame:
     positions in `nodes` of each edge's ends; `position` maps each node to
     its index and `degrees` counts the ends at each index.  Construction
     rejects duplicate nodes, non-pair edges, self-loops, edges to unknown
-    nodes and duplicate edges, naming the first bad edge.
+    nodes and duplicate edges, naming the first bad edge.  Networks compare
+    by identity.
     """
 
     nodes: tuple
     edges: InitVar[tuple]
     base_payoff: np.ndarray
-    position: dict = field(init=False, repr=False, compare=False)
-    ends: np.ndarray = field(init=False, repr=False, compare=False)
-    degrees: np.ndarray = field(init=False, repr=False, compare=False)
+    position: dict = field(init=False, repr=False)
+    ends: np.ndarray = field(init=False, repr=False)
+    degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, edges):
         m = np.asarray(self.base_payoff, dtype=float)
@@ -68,7 +69,7 @@ class NetworkGame:
                 raise ValueError
             ends = np.fromiter(map(position.__getitem__, chain.from_iterable(edges)),
                                dtype=np.intp, count=2 * len(edges)).reshape(-1, 2)
-        except (KeyError, TypeError, ValueError):  # a non-pair or unknown end
+        except (KeyError, TypeError, ValueError):  # a non-pair, or a bad end
             raise ValidationError(_first_bad_edge(position, edges)) from None
         u, v = ends.T
         keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))

@@ -316,7 +316,7 @@ def test_network_rejects_duplicate_nodes():
 
 def test_large_ring_loads_in_linear_time(tmp_path):
     # checking each edge end against the node tuple is O(N*E): several
-    # seconds at this size; the one-pass index is linear
+    # seconds at this size; loading into position and end arrays is linear
     import json
     import time
     import tracemalloc
@@ -339,8 +339,8 @@ def test_large_ring_loads_in_linear_time(tmp_path):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        net = NetworkGame.from_json(doc)
+        again = NetworkGame.from_json(doc)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert kept < 150 * len(doc["edges"])
+    assert again.edges == net.edges and kept < 150 * len(doc["edges"])

@@ -112,7 +112,7 @@ def faulty_networks(draw):
     edges = [(ids[a], ids[b]) if draw(st.booleans()) else (ids[b], ids[a])
              for a, b in pairs]
     nodes = list(ids)
-    for _ in range(draw(st.sampled_from([0, 0, 0, 1]))):
+    if draw(st.integers(0, 3)) == 0:  # so most examples reach the edges
         nodes.insert(draw(st.integers(0, len(nodes))), draw(st.sampled_from(ids)))
     known = st.sampled_from(ids)
     end = known | st.sampled_from(["ghost", n, [ids[0]]])
