@@ -1,7 +1,8 @@
 """Command-line surface: design, verify, analyze, simulate, neg.
 
-All reports are machine-readable JSON (``--pretty`` adds a table rendering
-on stderr-free stdout).  Exit codes are a stable contract: 0 success,
+All reports are machine-readable JSON; ``--pretty`` also prints a
+human-readable table on stdout.  Every input file is read through
+games.load_json, so an input error names its file.  Exit codes are a stable contract: 0 success,
 1 a rationality/effectiveness check failed, 2 bad input.
 """
 
@@ -24,7 +25,7 @@ from .design import (
     verify_effectiveness,
 )
 from .errors import ValidationError, ZDKitError
-from .games import GameSpec, numeric_table, read_json
+from .games import GameSpec, json_fields, load_json, numeric_table
 from .markov import analyze, build_pee, build_rule, check_stochastic
 from .montecarlo import compare_empirical_vs_exact, simulate
 from .network import NetworkGame, reduce_to_fop
@@ -128,46 +129,44 @@ def _assemble_specs(game: GameSpec, designer: int, specs) -> ZDAssignment:
 # file helpers
 
 
-def _load_matrix(path) -> np.ndarray:
-    """A square stochastic matrix from a JSON file ({"matrix": rows} or rows)."""
-    doc = read_json(path)
-    rows = doc.get("matrix") if isinstance(doc, dict) else doc
-    L = numeric_table(rows, f"{path}: matrix")
+def _read_matrix(doc) -> np.ndarray:
+    """The stochastic matrix of a decoded {"matrix": rows} (or rows) file."""
+    if isinstance(doc, dict):
+        doc, = json_fields(doc, ("matrix",), "matrix file")
+    L = numeric_table(doc, "matrix")
     if L.shape[0] != L.shape[1]:
-        raise ValidationError(f"{path}: 'matrix' must be a square table of numbers")
-    return check_stochastic(L, source=path)
+        raise ValidationError("'matrix' must be a square table of numbers")
+    return check_stochastic(L, "matrix")
 
 
-def _load_rules(path, game: GameSpec | None) -> dict:
-    """Rule matrices by player from a JSON file ({"rules": {player: rows}}).
+def _read_rules(doc, game: GameSpec | None, players) -> dict:
+    """Rule arrays by player from a decoded rules file ({"rules": {player: rows}}).
 
-    Keys must be player numbers and entries finite numbers; with a game, each
-    player must be in 1..n with a (k_p, kappa) rule.
+    Keys must be plain player numbers ("2", not "02" or "+2") and entries
+    finite numbers; with a game, each player must be in 1..n with a
+    (k_p, kappa) rule.  Every player in `players` must have a rule.
     """
-    doc = read_json(path)
-    if not isinstance(doc, dict) or not isinstance(doc.get("rules"), dict):
-        raise ValidationError(f"{path}: missing object field 'rules'")
+    rules, = json_fields(doc, ("rules",), "rules file")
+    if not isinstance(rules, dict):
+        raise ValidationError("field 'rules' must hold a JSON object")
     out = {}
-    for key, matrix in doc["rules"].items():
-        try:
-            p = int(key)
-        except ValueError:
-            raise ValidationError(
-                f"{path}: rules key {key!r} is not a player number") from None
-        m = numeric_table(matrix, f"{path}: rule of player {p}")
+    for key, matrix in rules.items():
+        if not (key.isdecimal() and key == str(int(key))):
+            raise ValidationError(f"rules key {key!r} is not a player number")
+        p = int(key)
+        m = numeric_table(matrix, f"rule of player {p}")
         if game is not None:
             if not 1 <= p <= game.n:
-                raise ValidationError(
-                    f"{path}: player {p} outside 1..{game.n}")
+                raise ValidationError(f"player {p} outside 1..{game.n}")
             expected = (game.k[p - 1], game.kappa)
             if m.shape != expected:
                 raise ValidationError(
-                    f"{path}: rule of player {p} has shape {m.shape}, "
+                    f"rule of player {p} has shape {m.shape}, "
                     f"expected {expected} (strategies x profiles)")
-        try:
-            out[p] = build_rule(p, m)
-        except ZDKitError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
+        out[p] = build_rule(p, m)
+    missing = [p for p in players if p not in out]
+    if missing:
+        raise ValidationError(f"no rule given for players {missing}")
     return out
 
 
@@ -239,15 +238,10 @@ def cmd_design(args) -> int:
 
 def cmd_verify(args) -> int:
     game = GameSpec.load(args.game)
-    assignment = ZDAssignment.load(args.assignment, game)
+    assignment = load_json(args.assignment, ZDAssignment.from_json, game)
     if args.opponents:
-        rules = _load_rules(args.opponents, game)
-        missing = [p for p in range(1, game.n + 1)
-                   if p != assignment.designer and p not in rules]
-        if missing:
-            raise ValidationError(
-                f"{args.opponents}: no rule given for players {missing}")
-        trials = [rules]
+        others = [p for p in range(1, game.n + 1) if p != assignment.designer]
+        trials = [load_json(args.opponents, _read_rules, game, others)]
     elif args.random_opponents:
         trials = _random_trials(args.seed, game, assignment.designer,
                                 args.random_opponents)
@@ -260,10 +254,11 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     if args.matrix:
-        L = _load_matrix(args.matrix)
+        L = load_json(args.matrix, _read_matrix)
     elif args.rules:
         game = GameSpec.load(args.game) if args.game else None
-        rules = _load_rules(args.rules, game)
+        players = range(1, game.n + 1) if args.game else ()
+        rules = load_json(args.rules, _read_rules, game, players)
         L = build_pee([rules[p] for p in sorted(rules)])
     else:
         raise ValidationError("need --matrix FILE or --rules FILE")
@@ -274,13 +269,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     game = GameSpec.load(args.game)
-    rules = _load_rules(args.rules, game)
+    designed = {}
     if args.assignment:
-        assignment = ZDAssignment.load(args.assignment, game)
-        rules[assignment.designer] = assignment.as_rule()
-    missing = [p for p in range(1, game.n + 1) if p not in rules]
-    if missing:
-        raise ValidationError(f"no rule given for players {missing}")
+        assignment = load_json(args.assignment, ZDAssignment.from_json, game)
+        designed = {assignment.designer: assignment.as_rule()}
+    others = [p for p in range(1, game.n + 1) if p not in designed]
+    rules = {**load_json(args.rules, _read_rules, game, others), **designed}
     L = build_pee([rules[p] for p in sorted(rules)])
     traj = simulate(L, x0=args.x0, steps=args.steps, seed=args.seed, game=game)
     doc = traj.to_json()
@@ -297,8 +291,8 @@ def cmd_neg(args) -> int:
         raise ValidationError("neg writes several artifacts; --out DIR is required")
     net = NetworkGame.load(args.network)
     node = args.node
-    if node not in net.position and node.isdigit() and int(node) in net.position:
-        node = int(node)
+    if node not in net.position and node.removeprefix("-").isdecimal():
+        node = int(node)  # an integer id, such as -1
     fop = reduce_to_fop(net, node)
     assignment = _assemble_specs(fop.game, 1, args.relation)
     rationality = rationality_check(assignment)

@@ -26,9 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, ValidationError
-from .games import GameSpec, numeric_table, read_json
-from .markov import POSITIVITY_TOL, build_pee, chain_structure, solve_stationary
-from .stp import DEFAULT_TOL
+from .games import GameSpec, json_fields, numeric_table
+from .markov import (
+    DEFAULT_TOL,
+    POSITIVITY_TOL,
+    build_pee,
+    chain_structure,
+    solve_stationary,
+)
 
 RESIDUAL_TOL = 1e-8
 # largest excess over [0, 1] a rational design's entries and sums may have
@@ -155,60 +160,49 @@ class ZDAssignment:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "ZDAssignment":
-        return cls(designer=int(doc["designer"]), rows=doc["rows"], relations=tuple(
-            (int(rel["row_index"]),
-             LinearRelation(tuple(rel["coeffs"]), rel["constant"]),
-             float(rel["mu"]))
-            for rel in doc["relations"]))
-
-    @classmethod
-    def load(cls, path, game: GameSpec) -> "ZDAssignment":
-        """Assignment for game from a JSON file; every error names the file.
+    def from_json(cls, doc: dict, game: GameSpec) -> "ZDAssignment":
+        """Assignment for game from a decoded assignment file.
 
         designer must be a player of game and rows a (k_designer, kappa)
         table of numbers whose columns each sum to 1 (negative entries are
-        allowed: an irrational design has them).  Each relation needs a
-        row_index, one coefficient per player, and coeffs, constant and mu
-        that are JSON numbers.
+        allowed: an irrational design has them).  Each relation needs an
+        integer row_index, one coefficient per player, and coeffs, constant
+        and mu that are JSON numbers.
         """
-        doc = read_json(path)
-        if not isinstance(doc, dict):
-            raise ValidationError(f"{path}: assignment file must hold a JSON object")
-        for key in ("designer", "relations", "rows"):
-            if key not in doc:
-                raise ValidationError(f"{path}: missing required field '{key}'")
-        designer = doc["designer"]
+        designer, relations, rows = json_fields(
+            doc, ("designer", "relations", "rows"), "assignment file")
         if type(designer) is not int or not 1 <= designer <= game.n:
             raise ValidationError(
-                f"{path}: designer {designer!r} is not a player in 1..{game.n}")
-        rows = numeric_table(doc["rows"], f"{path}: rows")
+                f"designer {designer!r} is not a player in 1..{game.n}")
+        rows = numeric_table(rows, "rows")
         expected = (game.k[designer - 1], game.kappa)
         if rows.shape != expected:
             raise ValidationError(
-                f"{path}: rows have shape {rows.shape}, expected {expected} "
+                f"rows have shape {rows.shape}, expected {expected} "
                 f"(the designer's strategies x profiles)")
         sums = rows.sum(axis=0)
         off = np.flatnonzero(np.abs(sums - 1.0) > DEFAULT_TOL)
         if off.size:
             raise ValidationError(
-                f"{path}: rows: column {off[0] + 1} sums to {sums[off[0]]:.6g}, "
-                f"not 1")
-        try:
-            for rel in doc["relations"]:
-                values = [*rel["coeffs"], rel["constant"], rel["mu"]]
-                if not all(type(v) in (int, float) for v in values):
-                    raise ValueError("coeffs, constant and mu must be numbers")
-            assignment = cls.from_json({**doc, "rows": rows})
-        except (LookupError, TypeError, ValueError) as exc:
-            what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-            raise ValidationError(f"{path}: bad 'relations' entry: {what}") from None
-        for j, relation, _ in assignment.relations:
-            if len(relation.coeffs) != game.n:
+                f"rows: column {off[0] + 1} sums to {sums[off[0]]:.6g}, not 1")
+        if not isinstance(relations, list):
+            raise ValidationError(f"field 'relations' is {relations!r}, not a list")
+        triples = []
+        for e, rel in enumerate(relations, start=1):
+            what = f"bad 'relations' entry {e}"
+            j, coeffs, constant, mu = json_fields(
+                rel, ("row_index", "coeffs", "constant", "mu"), what)
+            if type(j) is not int:  # exact type, so 1.7 and true are refused
+                raise ValidationError(f"{what}: row_index {j!r} is not an integer")
+            coeffs = numeric_table([coeffs], f"{what}: coeffs")[0]
+            if coeffs.size != game.n:
                 raise ValidationError(
-                    f"{path}: relation of row {j} has "
-                    f"{len(relation.coeffs)} coefficients for {game.n} players")
-        return assignment
+                    f"{what}: relation of row {j} has {coeffs.size} "
+                    f"coefficients for {game.n} players")
+            constant, mu = numeric_table([[constant, mu]],
+                                         f"{what}: constant and mu")[0]
+            triples.append((j, LinearRelation(tuple(coeffs), constant), float(mu)))
+        return cls(designer=designer, rows=rows, relations=tuple(triples))
 
 
 def design_row(game: GameSpec, i: int, j: int, relation: LinearRelation,
@@ -216,9 +210,7 @@ def design_row(game: GameSpec, i: int, j: int, relation: LinearRelation,
     """One designed rule row: mu * relation-row + indicator of (i, j)."""
     if mu == 0.0:
         raise DomainError("mu must be nonzero; mu = 0 degenerates the design")
-    indexer = game.indexer
-    indexer._check_pair(i, j)
-    return mu * relation.row(game) + indexer.xi(i, j)
+    return mu * relation.row(game) + game.indexer.xi(i, j)
 
 
 def assemble(game: GameSpec, designer: int, rows) -> ZDAssignment:

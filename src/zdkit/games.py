@@ -10,8 +10,9 @@ In that order player i's strategy is the digit (s // kappa_upper[i]) % k_i
 of the 0-based profile index s, so the profile sets phi(i, j) and their
 indicator rows xi(i, j) are computed with array arithmetic, never by
 decoding profiles one at a time.  A GameSpec builds its ProfileIndexer once.
-JSON tables of numbers are checked by numeric_table, which every file
-loader shares.
+Every input file is read by load_json, which names the file in any error;
+the readers check the decoded documents with json_fields, numeric_table and
+exact `type(v) is int` tests.
 """
 
 from __future__ import annotations
@@ -99,17 +100,40 @@ class ProfileIndexer:
         return self._plays(i, j).astype(float)
 
 
-def read_json(path):
-    """Decoded JSON document of a file; errors name the file."""
+def load_json(path, parse, *args):
+    """parse(doc, *args) of the JSON document in a file; errors name the file.
+
+    The one place an input error gets its file name: an unopenable,
+    malformed or non-UTF-8 file, and any ZDKitError parse raises, become a
+    ValidationError that starts with the path.
+    """
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+    try:
+        return parse(doc, *args)
+    except ZDKitError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def json_fields(doc, keys, what: str) -> tuple:
+    """The values of the required keys of a decoded JSON object, in order.
+
+    what names the object in the ValidationError raised when doc is not an
+    object or lacks a key, e.g. "game file missing required field 'payoffs'".
+    """
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must hold a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ValidationError(f"{what} missing required field '{key}'")
+    return tuple(doc[key] for key in keys)
 
 
 _JSON_NUMBERS = {int, float}
@@ -194,12 +218,8 @@ class GameSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GameSpec":
-        if not isinstance(doc, dict):
-            raise ValidationError("game file must hold a JSON object")
-        for key in ("players", "strategy_counts", "payoffs"):
-            if key not in doc:
-                raise ValidationError(f"game file missing required field '{key}'")
-        n, k = doc["players"], doc["strategy_counts"]
+        n, k, payoffs = json_fields(
+            doc, ("players", "strategy_counts", "payoffs"), "game file")
         if type(n) is not int:  # exact type, so JSON true/false are refused
             raise ValidationError(f"field 'players' is {n!r}, not an integer")
         if not isinstance(k, list) or not set(map(type, k)) <= {int}:
@@ -207,16 +227,11 @@ class GameSpec:
                 f"field 'strategy_counts' is {k!r}, not a list of integers")
         if n != len(k):
             raise DomainError(f"players = {n} but {len(k)} strategy counts given")
-        return cls(k=tuple(k), payoffs=numeric_table(doc["payoffs"], "payoffs"))
+        return cls(k=tuple(k), payoffs=numeric_table(payoffs, "payoffs"))
 
     @classmethod
     def load(cls, path) -> "GameSpec":
-        """Game from a JSON file; every error names the file."""
-        doc = read_json(path)
-        try:
-            return cls.from_json(doc)
-        except ZDKitError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
+        return load_json(path, cls.from_json)
 
     def save(self, path):
         with open(path, "w") as fh:

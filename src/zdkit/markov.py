@@ -27,10 +27,12 @@ from functools import reduce
 import numpy as np
 
 from .errors import AnalysisError, DimensionError, DomainError, ValidationError
-from .stp import DEFAULT_TOL, khatri_rao
+from .stp import khatri_rao
 
 # strict-positivity threshold for primitivity checks
 POSITIVITY_TOL = 1e-12
+# largest distance from 1 a probability column's sum may have
+DEFAULT_TOL = 1e-9
 # largest residual max |L u - u| analyze accepts from the stationary solve
 STATIONARY_TOL = 1e-10
 
@@ -112,7 +114,7 @@ def check_stochastic(L, source: str = "L") -> np.ndarray:
 
     Every entry must be >= -POSITIVITY_TOL and every column must sum to 1
     within DEFAULT_TOL; NaN fails both.  source names the table in the
-    message, e.g. the file it was read from.
+    message, e.g. "player 2 rule".
     """
     m = np.asarray(L, dtype=float)
     sums = m.sum(axis=0)

@@ -24,8 +24,8 @@ from math import comb
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ValidationError, ZDKitError
-from .games import GameSpec, numeric_table, read_json
+from .errors import DimensionError, DomainError, ValidationError
+from .games import GameSpec, json_fields, load_json, numeric_table
 
 
 _NODE_TYPES = {str, int}  # exact types, so JSON true/false are refused
@@ -108,12 +108,8 @@ class NetworkGame:
         (whose ends are checked to be strings or integers too) and
         base_game.payoff_bimatrix a square table of numbers.
         """
-        if not isinstance(doc, dict):
-            raise ValidationError("network file must hold a JSON object")
-        for key in ("nodes", "edges", "base_game"):
-            if key not in doc:
-                raise ValidationError(f"network file missing required field '{key}'")
-        nodes, edges, base = doc["nodes"], doc["edges"], doc["base_game"]
+        nodes, edges, base = json_fields(
+            doc, ("nodes", "edges", "base_game"), "network file")
         if not isinstance(nodes, list) or not isinstance(edges, list):
             raise ValidationError("network fields 'nodes' and 'edges' must be lists")
         if not set(map(type, nodes)) <= _NODE_TYPES:
@@ -139,12 +135,7 @@ class NetworkGame:
 
     @classmethod
     def load(cls, path) -> "NetworkGame":
-        """Network from a JSON file; every error names the file."""
-        doc = read_json(path)
-        try:
-            return cls.from_json(doc)
-        except ZDKitError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
+        return load_json(path, cls.from_json)
 
     def to_json(self) -> dict:
         return {

@@ -21,11 +21,21 @@ from zdkit.errors import (
     DomainError,
 )
 from zdkit.games import GameSpec, ProfileIndexer
-from zdkit.markov import _matrix_of, build_pee
-from zdkit.stp import DEFAULT_TOL, _as_matrix
+from zdkit.markov import DEFAULT_TOL, _matrix_of, build_pee
 
 # ---------------------------------------------------------------------------
 # semi-tensor product algebra
+
+
+def _as_matrix(a) -> np.ndarray:
+    m = np.asarray(a, dtype=float)
+    if m.ndim == 1:
+        m = m.reshape(-1, 1)
+    if m.ndim != 2 or m.size == 0:
+        raise DimensionError(f"expected a nonempty 2-D matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DomainError("matrix entries must be finite")
+    return m
 
 
 def delta(k: int, i: int) -> np.ndarray:

@@ -239,7 +239,8 @@ def test_neg_pipeline(network_file, tmp_path):
     report = json.loads((outdir / "report.json").read_text())
     assert report["rational"] and report["all_effective"]
     assignment = ZDAssignment.from_json(
-        json.loads((outdir / "assignment.json").read_text()))
+        json.loads((outdir / "assignment.json").read_text()),
+        GameSpec.from_json(game_doc))
     assert assignment.kappa == 6
 
 
@@ -293,7 +294,7 @@ def test_assignment_file_roundtrip(extortion_game_file, tmp_path):
         "--out", str(assignment),
     ])
     doc = json.loads(assignment.read_text())
-    loaded = ZDAssignment.from_json(doc)
+    loaded = ZDAssignment.from_json(doc, GameSpec.load(extortion_game_file))
     redumped = loaded.to_json()
     assert redumped["rows"] == doc["rows"]
     assert redumped["relations"] == doc["relations"]
@@ -615,6 +616,13 @@ BAD_ASSIGNMENTS = {
         lambda d: d["relations"][0].update(coeffs=["0", "1"], constant="-2",
                                            mu="0.1"),
         "bad 'relations' entry"),
+    # int() used to take each of these three as row 1
+    "row_index_float": (lambda d: d["relations"][0].update(row_index=1.7),
+                        "row_index 1.7 is not an integer"),
+    "row_index_string": (lambda d: d["relations"][0].update(row_index="1"),
+                         "row_index '1' is not an integer"),
+    "row_index_bool": (lambda d: d["relations"][0].update(row_index=True),
+                       "row_index True is not an integer"),
 }
 
 
@@ -718,3 +726,115 @@ def test_main_reuses_its_parser_without_sharing_state(pinning_game_file,
                                   "--random-opponents", "3"])
     b = make_parser().parse_args(["verify", "--game", "g", "--assignment", "a"])
     assert a.random_opponents == 3 and b.random_opponents is None
+
+
+# ---------------------------------------------------------------------------
+# every input file goes through one reader, so every bad file names itself
+
+
+def test_rules_key_with_leading_zero_exits_two(extortion_game_file, tmp_path,
+                                               capsys):
+    # "02" used to read as player 2 and silently replace the rule under "2"
+    rng = np.random.default_rng(54)
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"rules": {
+        "1": _interior_rows(rng, 2), "2": _interior_rows(rng, 3),
+        "02": _interior_rows(rng, 3), "3": _interior_rows(rng, 2)}}))
+    code = run(["simulate", "--game", extortion_game_file, "--rules", str(path),
+                "--steps", "100"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "rules key '02' is not a player number" in err
+
+
+def test_analyze_rules_with_game_missing_player_exits_two(pinning_game_file,
+                                                          tmp_path, capsys):
+    rng = np.random.default_rng(55)
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"rules": {"1": _interior_rows(rng, 2),
+                                          "2": _interior_rows(rng, 3)}}))
+    code = run(["analyze", "--game", pinning_game_file, "--rules", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "no rule given for players [3]" in err
+
+
+def _reader_argv(tmp_path, reader, path):
+    """A command whose only bad input file is `path`, read by `reader`."""
+    game, assignment = _assignment_file(tmp_path)
+    relation = ["--relation", "pin:target=2,value=2,row=1,mu=auto"]
+    return {
+        "game": ["design", "--game", path, "--player", "1", *relation],
+        "rules": ["analyze", "--game", game, "--rules", path],
+        "matrix": ["analyze", "--matrix", path],
+        "assignment": ["verify", "--game", game, "--assignment", path,
+                       "--random-opponents", "1"],
+        "network": ["neg", "--network", path, "--node", "a", *relation,
+                    "--random-opponents", "0", "--out", str(tmp_path / "out")],
+    }[reader]
+
+
+_GOOD_RULES = {"1": [[0.5] * 4] * 2, "2": [[0.5] * 4] * 2}
+_GOOD_ASSIGNMENT = {"designer": 1, "relations": [], "rows": [[0.5] * 4] * 2}
+
+# (reader, fault) -> (document, what the message must name): a document that
+# is not a JSON object, one missing a required field, and one with a bool
+# where an integer goes
+BAD_FILES = {
+    ("game", "not_object"): ([2, [2, 2]], "game file must hold a JSON object"),
+    ("game", "missing_field"): ({"players": 2, "strategy_counts": [2, 2]},
+                                "missing required field 'payoffs'"),
+    ("game", "bool"): ({"players": True, "strategy_counts": [2, 2],
+                        "payoffs": PD_GAME.tolist()}, "field 'players'"),
+    ("rules", "not_object"): ([_GOOD_RULES], "rules file must hold a JSON object"),
+    ("rules", "missing_field"): ({"rule": _GOOD_RULES},
+                                 "missing required field 'rules'"),
+    ("rules", "bool"): ({"rules": {**_GOOD_RULES, "2": [[True, 0, 0, 0],
+                                                        [0, 1, 1, 1]]}},
+                        "player 2: entry in row 1, column 1 is True"),
+    ("matrix", "not_object"): ("L", "matrix must be a rectangular table"),
+    ("matrix", "missing_field"): ({"rows": [[1.0]]},
+                                  "missing required field 'matrix'"),
+    ("matrix", "bool"): ({"matrix": [[True, 0], [0, 1]]},
+                         "entry in row 1, column 1 is True"),
+    ("assignment", "not_object"): ([_GOOD_ASSIGNMENT],
+                                   "assignment file must hold a JSON object"),
+    ("assignment", "missing_field"): (
+        {k: v for k, v in _GOOD_ASSIGNMENT.items() if k != "relations"},
+        "missing required field 'relations'"),
+    ("assignment", "bool"): ({**_GOOD_ASSIGNMENT, "designer": True},
+                             "designer True"),
+    ("network", "not_object"): ([_network_doc()],
+                                "network file must hold a JSON object"),
+    ("network", "missing_field"): (
+        {k: v for k, v in _network_doc().items() if k != "edges"},
+        "missing required field 'edges'"),
+    ("network", "bool"): ({**_network_doc(), "nodes": ["a", True, "c"]},
+                          "node id True is not a string or an integer"),
+}
+
+
+@pytest.mark.parametrize("reader,fault", list(BAD_FILES),
+                         ids=[f"{r}-{f}" for r, f in BAD_FILES])
+def test_every_reader_names_the_bad_file(tmp_path, capsys, reader, fault):
+    doc, named = BAD_FILES[reader, fault]
+    path = tmp_path / f"bad_{reader}.json"
+    path.write_text(json.dumps(doc))
+    argv = _reader_argv(tmp_path, reader, str(path))
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and named in err
+
+
+def test_neg_selects_a_negative_integer_node(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({**_network_doc(), "nodes": [-1, 2, 3],
+                                "edges": [[-1, 2], [2, 3]]}))
+    for node in ("-1", "3"):
+        out = tmp_path / f"out{node}"
+        assert run(["neg", "--network", str(path), "--node", node,
+                    "--relation", "pin:target=2,value=2,row=1,mu=auto",
+                    "--random-opponents", "0", "--out", str(out)]) == 0
+        game = json.loads((out / "reduced_game.json").read_text())
+        assert game["focal_node"] == node and game["strategy_counts"] == [2, 2]

