@@ -2,8 +2,9 @@
 
 All reports are machine-readable JSON; ``--pretty`` also prints a
 human-readable table on stdout.  Every input file is read through
-games.load_json, so an input error names its file.  Exit codes are a stable contract: 0 success,
-1 a rationality/effectiveness check failed, 2 bad input.
+games.load_json, so an input error names its file, and every output file
+is written by games.write_text.  Exit codes are a stable contract: 0
+success, 1 a rationality/effectiveness check failed, 2 bad input.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .design import (
     verify_effectiveness,
 )
 from .errors import ValidationError, ZDKitError
-from .games import GameSpec, json_fields, load_json, numeric_table
+from .games import GameSpec, json_fields, load_json, numeric_table, write_text
 from .markov import analyze, build_pee, build_rule, check_stochastic
 from .montecarlo import compare_empirical_vs_exact, simulate
 from .network import NetworkGame, reduce_to_fop
@@ -143,21 +144,23 @@ def _read_rules(doc, game: GameSpec | None, players) -> dict:
     """Rule arrays by player from a decoded rules file ({"rules": {player: rows}}).
 
     Keys must be plain player numbers ("2", not "02" or "+2") and entries
-    finite numbers; with a game, each player must be in 1..n with a
-    (k_p, kappa) rule.  Every player in `players` must have a rule.
+    finite numbers.  Each player must be in 1..n, where n is the game's
+    player count, or with no game the number of rules; with a game each
+    rule must be (k_p, kappa).  Every player in `players` must have a rule.
     """
     rules, = json_fields(doc, ("rules",), "rules file")
     if not isinstance(rules, dict):
         raise ValidationError("field 'rules' must hold a JSON object")
+    n = len(rules) if game is None else game.n
     out = {}
     for key, matrix in rules.items():
         if not (key.isdecimal() and key == str(int(key))):
             raise ValidationError(f"rules key {key!r} is not a player number")
         p = int(key)
+        if not 1 <= p <= n:
+            raise ValidationError(f"player {p} outside 1..{n}")
         m = numeric_table(matrix, f"rule of player {p}")
         if game is not None:
-            if not 1 <= p <= game.n:
-                raise ValidationError(f"player {p} outside 1..{game.n}")
             expected = (game.k[p - 1], game.kappa)
             if m.shape != expected:
                 raise ValidationError(
@@ -190,8 +193,7 @@ def _emit(doc: dict, out, pretty: bool):
     # allow_nan=False: a NaN or infinity would make the output invalid JSON
     text = json.dumps(doc, indent=2, allow_nan=False)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        write_text(out, text + "\n")
     else:
         print(text)
     if pretty:
@@ -306,8 +308,8 @@ def cmd_neg(args) -> int:
     for name, doc in (("reduced_game.json", game_doc),
                       ("assignment.json", assignment.to_json()),
                       ("report.json", report_doc)):
-        with open(os.path.join(args.out, name), "w") as fh:
-            fh.write(json.dumps(doc, indent=2, allow_nan=False))
+        write_text(os.path.join(args.out, name),
+                   json.dumps(doc, indent=2, allow_nan=False))
     if args.pretty:
         _render_table(report_doc)
     all_ok = rationality.verdict and report_doc["all_effective"]

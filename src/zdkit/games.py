@@ -12,12 +12,15 @@ indicator rows xi(i, j) are computed with array arithmetic, never by
 decoding profiles one at a time.  A GameSpec builds its ProfileIndexer once.
 Every input file is read by load_json, which names the file in any error;
 the readers check the decoded documents with json_fields, numeric_table and
-exact `type(v) is int` tests.
+exact `type(v) is int` tests.  Every output file is written by write_text,
+which rewrites an existing file in place and never fsyncs.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass, field
 from math import prod
 
@@ -100,26 +103,54 @@ class ProfileIndexer:
         return self._plays(i, j).astype(float)
 
 
+def _unique_keys(pairs) -> dict:
+    """A decoded JSON object; a key given twice is refused, not overridden."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ValidationError(f"key {key!r} is repeated in one object")
+    return doc
+
+
 def load_json(path, parse, *args):
     """parse(doc, *args) of the JSON document in a file; errors name the file.
 
     The one place an input error gets its file name: an unopenable,
-    malformed or non-UTF-8 file, and any ZDKitError parse raises, become a
-    ValidationError that starts with the path.
+    malformed or non-UTF-8 file, a repeated key in one object, and any
+    ZDKitError parse raises, become a ValidationError that starts with the
+    path.
     """
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+        return parse(doc, *args)
     except OSError as exc:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
-    try:
-        return parse(doc, *args)
     except ZDKitError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+
+
+def write_text(path, text: str):
+    """Write text to path, rewriting an existing file in place; no fsync.
+
+    No O_TRUNC: on ext4 a truncation to zero starts writeback that the next
+    rewrite of the file waits for.  Inode, mode and links are kept.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def json_fields(doc, keys, what: str) -> tuple:
@@ -234,5 +265,4 @@ class GameSpec:
         return load_json(path, cls.from_json)
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
+        write_text(path, json.dumps(self.to_json(), indent=2))

@@ -257,7 +257,8 @@ def solve_stationary(L):
     """
     m = _matrix_of(L)
     kappa = m.shape[0]
-    a = m - np.eye(kappa)
+    a = m.copy()
+    a.flat[::kappa + 1] -= 1.0
     a[-1] = 1.0
     b = np.zeros(kappa)
     b[-1] = 1.0

@@ -1,8 +1,13 @@
 import json
+import os
+import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import zdkit
 from zdkit import GameSpec, ZDAssignment
 from zdkit.cli import main
 from conftest import (
@@ -838,3 +843,126 @@ def test_neg_selects_a_negative_integer_node(tmp_path):
                     "--random-opponents", "0", "--out", str(out)]) == 0
         game = json.loads((out / "reduced_game.json").read_text())
         assert game["focal_node"] == node and game["strategy_counts"] == [2, 2]
+
+
+@pytest.mark.parametrize("keys,named", [(("1", "3"), "player 3 outside 1..2"),
+                                        (("0", "1"), "player 0 outside 1..2")],
+                         ids=["gap", "zero"])
+def test_analyze_rules_without_game_needs_players_one_to_n(tmp_path, capsys,
+                                                           keys, named):
+    # with no game the keys must be exactly the players 1..len(rules)
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"rules": {k: [[0.5] * 4] * 2 for k in keys}}))
+    assert run(["analyze", "--rules", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and named in err
+
+
+def _repeat_key(text, key):
+    """text with its first `"key": value` pair given again right after itself."""
+    start = text.index(f'"{key}": ')
+    stop = json.JSONDecoder().raw_decode(text, start + len(key) + 4)[1]
+    return text[:stop] + ", " + text[start:stop] + text[stop:]
+
+
+# reader -> (the file's text with one key given twice, that key); json.load
+# alone would keep the later value, so {"1": A, "2": B, "2": C} ran with C
+REPEATED_KEYS = {
+    "game": (_repeat_key(json.dumps(
+        {"players": 2, "strategy_counts": [2, 2], "payoffs": PD_GAME.tolist()}),
+        "players"), "players"),
+    "rules": (_repeat_key(json.dumps({"rules": _GOOD_RULES}), "2"), "2"),
+    "matrix": (_repeat_key(json.dumps({"matrix": [[1.0, 0], [0, 1.0]]}),
+                           "matrix"), "matrix"),
+    "assignment": (_repeat_key(json.dumps(_GOOD_ASSIGNMENT), "designer"),
+                   "designer"),
+    "network": (_repeat_key(json.dumps(_network_doc()), "k"), "k"),
+}
+
+
+@pytest.mark.parametrize("reader", list(REPEATED_KEYS))
+def test_every_reader_refuses_a_repeated_key(tmp_path, capsys, reader):
+    text, key = REPEATED_KEYS[reader]
+    path = tmp_path / f"repeated_{reader}.json"
+    path.write_text(text)
+    argv = _reader_argv(tmp_path, reader, str(path))
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert f"key '{key}' is repeated in one object" in err
+
+
+# ---------------------------------------------------------------------------
+# every report is written by games.write_text, in place over an existing file
+
+JUNK = "x" * 10_000
+
+
+def _analyze_matrix_argv(tmp_path):
+    mat = tmp_path / "L.json"
+    mat.write_text(json.dumps({"matrix": [[0.9, 0.5], [0.1, 0.5]]}))
+    return ["analyze", "--matrix", str(mat)]
+
+
+def test_analyze_report_over_a_longer_file_equals_stdout(tmp_path, capsys):
+    argv = _analyze_matrix_argv(tmp_path)
+    assert run(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    out.write_text(JUNK)
+    assert run([*argv, "--out", str(out)]) == 0
+    assert out.read_text() == stdout
+    assert json.loads(out.read_text())["primitive"]
+
+
+def test_neg_files_over_longer_files_equal_fresh_ones(network_file, tmp_path):
+    argv = ["neg", "--network", network_file, "--node", "A",
+            "--relation", "pin:target=2,value=2,row=1,mu=auto",
+            "--random-opponents", "2", "--seed", "9", "--out"]
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert run([*argv, str(fresh)]) == 0
+    reused.mkdir()
+    names = ("reduced_game.json", "assignment.json", "report.json")
+    for name in names:
+        (reused / name).write_text(JUNK)
+    assert run([*argv, str(reused)]) == 0
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+        json.loads((reused / name).read_text())
+
+
+def test_out_dev_null_exits_zero(tmp_path):
+    assert run([*_analyze_matrix_argv(tmp_path), "--out", os.devnull]) == 0
+
+
+def test_out_dev_stdout_on_a_pipe_exits_zero(tmp_path):
+    # a pipe cannot be truncated: write_text must not try
+    src = os.path.dirname(os.path.dirname(zdkit.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zdkit.cli", *_analyze_matrix_argv(tmp_path),
+         "--out", "/dev/stdout"],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["primitive"]
+
+
+def test_symlinked_out_stays_a_symlink(tmp_path, capsys):
+    argv = _analyze_matrix_argv(tmp_path)
+    assert run(argv) == 0
+    stdout = capsys.readouterr().out
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text(JUNK)
+    link.symlink_to(target)
+    assert run([*argv, "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_text() == stdout
+
+
+def test_out_file_keeps_its_mode(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text(JUNK)
+    out.chmod(0o640)
+    assert run([*_analyze_matrix_argv(tmp_path), "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640

@@ -1,14 +1,18 @@
+import ast
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
 
+import zdkit
 from zdkit import (
     DimensionError,
     DomainError,
     GameSpec,
     ValidationError,
 )
+from zdkit.games import write_text
 from conftest import PINNING_PAYOFFS
 from oracles import delta, kappa_params, payoff_eval, phi_arithmetic
 
@@ -252,3 +256,46 @@ def test_numeric_table_accepts_ints_and_floats():
     m = numeric_table([[1, 0.5], [np.float64(2.0), 3]], "where")
     assert m.dtype == np.float64
     np.testing.assert_array_equal(m, [[1, 0.5], [2, 3]])
+
+
+# ---------------------------------------------------------------------------
+# every output file is written by games.write_text
+
+
+def test_write_text_rewrites_a_longer_file_in_place(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_text("x" * 10_000)
+    inode = path.stat().st_ino
+    write_text(path, "short\n")
+    assert path.read_text() == "short\n" and path.stat().st_ino == inode
+    write_text(path, "")
+    assert path.read_bytes() == b""
+
+
+def test_gamespec_save_over_a_longer_file(tmp_path, pinning_game):
+    fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+    pinning_game.save(fresh)
+    reused.write_text("{" * 10_000)
+    pinning_game.save(reused)
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert not fresh.read_text().endswith("\n")
+
+
+def test_no_module_opens_a_file_for_writing():
+    # a truncating open(path, "w") makes ext4 start writeback at close that
+    # the next rewrite waits for; outputs go through games.write_text
+    src = pathlib.Path(zdkit.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if mode is None:
+                continue
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax")):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -386,3 +386,18 @@ def test_irrational_chain_rejected_by_both_routes():
         chain_structure(L)
     with pytest.raises(ValidationError):
         is_primitive(L)
+
+
+def test_stationary_solve_matches_the_eye_subtraction_bit_for_bit():
+    # L - I is built on one copy of L, subtracting 1 from the diagonal in
+    # place; the solve must equal the one from L - np.eye(kappa) exactly
+    kappa = 256
+    m = random_stochastic(np.random.default_rng(61), kappa)
+    a = m - np.eye(kappa)
+    a[-1] = 1.0
+    b = np.zeros(kappa)
+    b[-1] = 1.0
+    want = np.linalg.solve(a, b)
+    u, residual = solve_stationary(m)
+    assert np.array_equal(u, want)
+    assert residual == float(np.max(np.abs(m @ want - want)))
