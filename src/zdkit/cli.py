@@ -58,6 +58,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    """The argparse type of --z and --tol: a finite number > 0."""
+    if not 0.0 < float(text) < np.inf:  # argparse reports a ValueError too
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    return float(text)
+
+
 def parse_relation_spec(spec: str, game: GameSpec, designer: int):
     """Parse one --relation string into (row_index, LinearRelation, mu).
 
@@ -244,9 +251,11 @@ def cmd_verify(args) -> int:
     if args.opponents:
         others = [p for p in range(1, game.n + 1) if p != assignment.designer]
         trials = [load_json(args.opponents, _read_rules, game, others)]
-    elif args.random_opponents:
+    elif args.random_opponents is not None:
         trials = _random_trials(args.seed, game, assignment.designer,
                                 args.random_opponents)
+        if not trials:
+            raise ValidationError("--random-opponents 0 gives verify nothing to check")
     else:
         raise ValidationError("need --opponents FILE or --random-opponents N")
     doc = _verify_trials(game, assignment, trials, args.tol)
@@ -352,7 +361,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-opponents", type=int,
                    help="verify against N random interior opponents")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tol", type=float, default=RESIDUAL_TOL,
+    p.add_argument("--tol", type=_positive, default=RESIDUAL_TOL,
                    help="residual tolerance for effectiveness")
     common(p)
     p.set_defaults(func=cmd_verify)
@@ -370,7 +379,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--assignment", help="splice a designed rule over its player")
     p.add_argument("--steps", type=int, default=100000)
     p.add_argument("--x0", type=int, default=1)
-    p.add_argument("--z", type=float, default=4.0,
+    p.add_argument("--z", type=_positive, default=4.0,
                    help="z-score threshold for the empirical-vs-exact check")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(p)
@@ -384,7 +393,7 @@ def make_parser() -> argparse.ArgumentParser:
                         "(opponent is player 2)")
     p.add_argument("--random-opponents", type=int, default=20)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tol", type=float, default=RESIDUAL_TOL,
+    p.add_argument("--tol", type=_positive, default=RESIDUAL_TOL,
                    help="residual tolerance for effectiveness")
     common(p)
     p.set_defaults(func=cmd_neg)
@@ -396,7 +405,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ZDKitError, OSError, KeyError) as exc:
+    except (ZDKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except MemoryError as exc:

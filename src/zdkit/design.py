@@ -112,28 +112,11 @@ class ZDAssignment:
 
     def __post_init__(self):
         rows = np.array(self.rows, dtype=float)
-        k = rows.shape[0]
-        relations = tuple(sorted(self.relations, key=lambda rel: rel[0]))
-        if len(relations) > k - 1:
-            raise DomainError(
-                f"player {self.designer} can design at most {k - 1} rows "
-                f"({len(relations)} requested); the last row is determined "
-                f"by the others"
-            )
-        js = [j for j, _, _ in relations]
-        for j in js:
-            if not 1 <= j <= k:
-                raise DomainError(f"row index {j} outside 1..{k}")
-        for j, nxt in zip(js, js[1:]):
-            if j == nxt:
-                raise DomainError(f"row {j} designed twice")
+        relations = tuple(_checked_rows(self.designer, rows.shape[0], sorted(
+            self.relations, key=lambda rel: rel[0])))
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "relations", relations)
-
-    @property
-    def k(self) -> int:
-        return self.rows.shape[0]
 
     @property
     def kappa(self) -> int:
@@ -205,6 +188,23 @@ class ZDAssignment:
         return cls(designer=designer, rows=rows, relations=tuple(triples))
 
 
+def _checked_rows(designer: int, k: int, triples):
+    """The (j, relation, mu) triples, each checked as it is taken: j is one of
+    the designer's k strategies, new, and one of at most k - 1 rows."""
+    designed = set()
+    for j, relation, mu in triples:
+        if not 1 <= j <= k:
+            raise DomainError(
+                f"row {j} outside 1..{k}, the strategies of player {designer}")
+        if j in designed:
+            raise DomainError(f"row {j} designed twice")
+        if len(designed) == k - 1:
+            raise DomainError(f"player {designer} can design at most {k - 1} "
+                              f"rows; the last row is determined by the others")
+        designed.add(j)
+        yield j, relation, mu
+
+
 def design_row(game: GameSpec, i: int, j: int, relation: LinearRelation,
                mu: float) -> np.ndarray:
     """One designed rule row: mu * relation-row + indicator of (i, j)."""
@@ -213,6 +213,7 @@ def design_row(game: GameSpec, i: int, j: int, relation: LinearRelation,
     return mu * relation.row(game) + game.indexer.xi(i, j)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite row is refused
 def assemble(game: GameSpec, designer: int, rows) -> ZDAssignment:
     """The designer's assignment from (j, relation, mu) triples, one per row.
 
@@ -224,14 +225,12 @@ def assemble(game: GameSpec, designer: int, rows) -> ZDAssignment:
     """
     _check_player(game.n, designer, "designer")
     k = game.k[designer - 1]
-    designed, relations = {}, []
-    for j, relation, mu in rows:
-        if not 1 <= j <= k:
-            raise DomainError(
-                f"row {j} outside 1..{k}, the strategies of player {designer}")
-        if j in designed:
-            raise DomainError(f"row {j} designed twice")
-        if not relation.row(game).any():
+    m, relations = np.zeros((k, game.kappa)), []
+    for j, relation, mu in _checked_rows(designer, k, rows):
+        w = relation.row(game)
+        if not np.isfinite(w).all():
+            raise DomainError(f"relation of row {j} overflows on this game")
+        if not w.any():
             raise DomainError(
                 f"relation of row {j} is identically zero on this game; it "
                 f"holds whatever is played and designs nothing")
@@ -243,18 +242,13 @@ def assemble(game: GameSpec, designer: int, rows) -> ZDAssignment:
                     f"feasible mu interval [{lo:.6g}, {hi:.6g}] for row {j} "
                     f"contains only the excluded point 0; no rational design "
                     f"exists")
-        designed[j] = design_row(game, designer, j, relation, mu)
-        if not np.isfinite(designed[j]).all():
+        m[j - 1] = design_row(game, designer, j, relation, mu)
+        if not np.isfinite(m[j - 1]).all():
             raise DomainError(f"mu = {mu:g} makes row {j} overflow")
         relations.append((j, relation, mu))
-    m = np.zeros((k, game.kappa))
-    assigned = np.zeros(game.kappa)
-    for j in sorted(designed):
-        m[j - 1] = designed[j]
-        assigned += designed[j]
-    free = [j - 1 for j in range(1, k + 1) if j not in designed]
-    if free:
-        m[free] = (1.0 - assigned) / len(free)
+    designed = [j for j, _, _ in relations]
+    free = [j - 1 for j in range(1, k + 1) if j not in designed]  # never empty
+    m[free] = (1.0 - sum(m)) / len(free)  # row by row, so in ascending j
     return ZDAssignment(designer=designer, rows=m, relations=tuple(relations))
 
 

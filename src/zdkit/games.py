@@ -3,8 +3,8 @@
 A game with n players and k_i strategies each has kappa = prod(k_i) joint
 profiles, arranged in alphabetic order with the LAST player's index varying
 fastest: (1,..,1), (1,..,2), ..., (k_1,..,k_n).  That ordering is the single
-source of truth for every other module.  Each player's payoff function is a
-row vector of length kappa, so c_i(x) = V_i . x for a profile distribution x.
+source of truth for every other module.  Player i's payoff function is the
+row V_i = payoffs[i - 1] of a GameSpec, so c_i(x) = V_i . x for a distribution x.
 
 In that order player i's strategy is the digit (s // kappa_upper[i]) % k_i
 of the 0-based profile index s, so the profile sets phi(i, j) and their
@@ -31,7 +31,7 @@ from .errors import DimensionError, DomainError, ValidationError, ZDKitError
 
 @dataclass(frozen=True)
 class ProfileIndexer:
-    """Bijection between strategy tuples and profile indices 1..kappa.
+    """The profile sets and indicator rows of a game's strategy counts.
 
     kappa_lower[i-1] is the product of strategy counts of players before i
     (1 for i = 1); kappa_upper[i] is the product of counts of players after
@@ -58,29 +58,6 @@ class ProfileIndexer:
     @property
     def n(self) -> int:
         return len(self.k)
-
-    def encode(self, strategies) -> int:
-        """Profile index (1-based) of a strategy tuple."""
-        s = tuple(int(v) for v in strategies)
-        if len(s) != self.n:
-            raise DimensionError(f"expected {self.n} strategies, got {len(s)}")
-        idx = 0
-        for i, (si, ki) in enumerate(zip(s, self.k), start=1):
-            if not 1 <= si <= ki:
-                raise DomainError(f"strategy {si} of player {i} outside 1..{ki}")
-            idx += (si - 1) * self.kappa_upper[i]
-        return idx + 1
-
-    def decode(self, index: int) -> tuple:
-        """Strategy tuple of a profile index (1-based)."""
-        if not 1 <= index <= self.kappa:
-            raise DomainError(f"profile index {index} outside 1..{self.kappa}")
-        v = index - 1
-        out = []
-        for ki in reversed(self.k):
-            out.append(v % ki + 1)
-            v //= ki
-        return tuple(reversed(out))
 
     def _check_pair(self, i: int, j: int):
         if not 1 <= i <= self.n:
@@ -235,11 +212,6 @@ class GameSpec:
     def kappa(self) -> int:
         return self._indexer.kappa
 
-    def payoff_vector(self, i: int) -> np.ndarray:
-        if not 1 <= i <= self.n:
-            raise DomainError(f"player {i} outside 1..{self.n}")
-        return self.payoffs[i - 1]
-
     def to_json(self) -> dict:
         return {
             "players": self.n,
@@ -263,6 +235,3 @@ class GameSpec:
     @classmethod
     def load(cls, path) -> "GameSpec":
         return load_json(path, cls.from_json)
-
-    def save(self, path):
-        write_text(path, json.dumps(self.to_json(), indent=2))

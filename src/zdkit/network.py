@@ -11,9 +11,9 @@ A NetworkGame holds its graph as integers: a dict from node id to position,
 an (E, 2) array of the positions of each edge's ends and the degree counts
 of that array.  Loading builds no object per node or edge beyond the
 position dict, checks every edge in bulk on those arrays, and is linear in
-the size of the network; a node's neighbours are computed from the end
-array when asked for.  The reduced payoffs of a node are one product of its
-(k x m) count matrix with the base payoff.
+the size of the network.  The reduction needs only a node's degree, never
+its neighbours: its reduced payoffs are one product of its (k x m) count
+matrix with the base payoff.
 """
 
 from __future__ import annotations
@@ -88,14 +88,6 @@ class NetworkGame:
     def k(self) -> int:
         return self.base_payoff.shape[0]
 
-    def neighbors(self, node) -> tuple:
-        """Neighbours of node in the order of the edges joining them."""
-        i = self.position.get(node)
-        if i is None:
-            return ()
-        rows, cols = np.nonzero(self.ends == i)  # row-major: in edge order
-        return tuple(map(self.nodes.__getitem__, self.ends[rows, 1 - cols].tolist()))
-
     def degree(self, node) -> int:
         i = self.position.get(node)
         return 0 if i is None else int(self.degrees[i])
@@ -136,16 +128,6 @@ class NetworkGame:
     @classmethod
     def load(cls, path) -> "NetworkGame":
         return load_json(path, cls.from_json)
-
-    def to_json(self) -> dict:
-        return {
-            "nodes": list(self.nodes),
-            "edges": [list(e) for e in self.edges],
-            "base_game": {
-                "k": self.k,
-                "payoff_bimatrix": [list(r) for r in self.base_payoff],
-            },
-        }
 
 
 def _edges(net: NetworkGame) -> tuple:

@@ -126,7 +126,7 @@ def phi_arithmetic(ix: ProfileIndexer, i: int, j: int) -> tuple:
 
 def payoff_eval(game: GameSpec, i: int, x, tol: float = DEFAULT_TOL) -> float:
     """Expected payoff V_i . x of player i under profile distribution x."""
-    v = game.payoff_vector(i)
+    v = game.payoffs[i - 1]
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != game.kappa:
         raise DimensionError(

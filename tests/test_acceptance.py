@@ -293,8 +293,8 @@ def test_09_network_reduction_golden():
     for node, (size, v_focal, v_fop) in want.items():
         fop = reduce_to_fop(net, node)
         ok = ok and len(opponent_strategy_set(2, net.degree(node))) == size
-        ok = ok and np.array_equal(fop.game.payoff_vector(1), v_focal)
-        ok = ok and np.array_equal(fop.game.payoff_vector(2), v_fop)
+        ok = ok and np.array_equal(fop.game.payoffs[0], v_focal)
+        ok = ok and np.array_equal(fop.game.payoffs[1], v_fop)
 
     # end-to-end: pin the fictitious opponent of node A to payoff 2
     fop_a = reduce_to_fop(net, "A")

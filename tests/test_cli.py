@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import stat
 import subprocess
 import sys
@@ -20,17 +21,22 @@ from conftest import (
 )
 
 
+def save_game(game, path):
+    """Write a game file as GameSpec.load reads it."""
+    pathlib.Path(path).write_text(json.dumps(game.to_json(), indent=2))
+
+
 @pytest.fixture
 def pinning_game_file(tmp_path):
     path = tmp_path / "pinning.json"
-    GameSpec(k=(2, 3, 2), payoffs=PINNING_PAYOFFS).save(path)
+    save_game(GameSpec(k=(2, 3, 2), payoffs=PINNING_PAYOFFS), path)
     return str(path)
 
 
 @pytest.fixture
 def extortion_game_file(tmp_path):
     path = tmp_path / "extortion.json"
-    GameSpec(k=(2, 3, 2), payoffs=EXTORTION_PAYOFFS).save(path)
+    save_game(GameSpec(k=(2, 3, 2), payoffs=EXTORTION_PAYOFFS), path)
     return str(path)
 
 
@@ -145,7 +151,7 @@ def test_verify_explicit_opponents_ineffective(tmp_path):
     # refuses the relation, which is zero on this game, so the file is
     # written directly.
     game_path = tmp_path / "game.json"
-    GameSpec(k=(2, 2), payoffs=np.tile(np.arange(4.0), (2, 1))).save(game_path)
+    save_game(GameSpec(k=(2, 2), payoffs=np.tile(np.arange(4.0), (2, 1))), game_path)
     assignment = tmp_path / "a.json"
     assignment.write_text(json.dumps({
         "designer": 1, "rows": [[1, 1, 0, 0], [0, 0, 1, 1]],
@@ -261,7 +267,7 @@ def test_neg_degree_one_matches_direct_run(network_file, tmp_path):
     assert game_doc["strategy_counts"] == [2, 2]
     # direct two-player design over the same bimatrix game
     direct_game = tmp_path / "direct.json"
-    GameSpec(k=(2, 2), payoffs=np.array(game_doc["payoffs"])).save(direct_game)
+    save_game(GameSpec(k=(2, 2), payoffs=np.array(game_doc["payoffs"])), direct_game)
     direct_out = tmp_path / "direct_a.json"
     run([
         "design", "--game", str(direct_game), "--player", "1",
@@ -503,7 +509,7 @@ def test_cli_assignment_matches_library_design(network_file, tmp_path, command,
 
     if command == "design":
         game = GameSpec(k=(2, 2), payoffs=PD_GAME)
-        game.save(tmp_path / "game.json")
+        save_game(game, tmp_path / "game.json")
         out = tmp_path / "a.json"
         argv = ["design", "--game", str(tmp_path / "game.json"),
                 "--player", "1", "--out", str(out)]
@@ -555,7 +561,7 @@ RELATION_GAMES = {"zero_relation_row": [[1, 2, 3, 4], [2, 2, 2, 2]]}
 def test_malformed_relation_field_exits_two(tmp_path, capsys, case):
     spec, field = BAD_RELATIONS[case]
     payoffs = RELATION_GAMES.get(case, PD_GAME)
-    GameSpec(k=(2, 2), payoffs=payoffs).save(tmp_path / "game.json")
+    save_game(GameSpec(k=(2, 2), payoffs=payoffs), tmp_path / "game.json")
     code = run(["design", "--game", str(tmp_path / "game.json"),
                 "--player", "1", "--relation", spec])
     assert code == 2
@@ -567,7 +573,7 @@ def test_malformed_relation_field_exits_two(tmp_path, capsys, case):
 @pytest.mark.parametrize("player", ["0", "5"])
 def test_design_designer_not_a_player_exits_two(tmp_path, capsys, player):
     # the designer is checked before any spec is taken, so none is named
-    GameSpec(k=(2, 2), payoffs=PD_GAME).save(tmp_path / "game.json")
+    save_game(GameSpec(k=(2, 2), payoffs=PD_GAME), tmp_path / "game.json")
     code = run(["design", "--game", str(tmp_path / "game.json"),
                 "--player", player,
                 "--relation", "pin:target=2,value=2,row=1,mu=auto"])
@@ -578,14 +584,59 @@ def test_design_designer_not_a_player_exits_two(tmp_path, capsys, player):
 
 
 def test_design_mu_overflow_exits_two(tmp_path, capsys):
-    GameSpec(k=(2, 2), payoffs=PD_GAME).save(tmp_path / "game.json")
+    save_game(GameSpec(k=(2, 2), payoffs=PD_GAME), tmp_path / "game.json")
     spec = "pin:target=2,value=2,row=1,mu=1e308"
-    with np.errstate(over="ignore"):
-        code = run(["design", "--game", str(tmp_path / "game.json"),
-                    "--player", "1", "--relation", spec])
+    code = run(["design", "--game", str(tmp_path / "game.json"),
+                "--player", "1", "--relation", spec])
     assert code == 2
     err = capsys.readouterr().err
     assert repr(spec) in err and "row 1 overflow" in err
+
+
+# bad values that once ended in a traceback, a numpy warning or a wrong
+# message, with what the one error line must name
+CLEAN_EXITS = {
+    "z_nan": ("simulate", ["--z", "nan"], "argument --z: 'nan'"),
+    "z_inf": ("simulate", ["--z", "inf"], "argument --z: 'inf'"),
+    "tol_zero": ("verify", ["--random-opponents", "1", "--tol", "0"],
+                 "argument --tol: '0'"),
+    "tol_nan": ("neg", ["--tol", "nan"], "argument --tol: 'nan'"),
+    "mu_overflow": ("design", ["--relation", "pin:target=2,value=2,row=1,mu=1e308"],
+                    "mu = 1e+308 makes row 1 overflow"),
+    "relation_overflow": ("design",
+                          ["--relation", "lin:coeffs=1e308:1e308,row=1,mu=auto"],
+                          "relation of row 1 overflows on this game"),
+    "zero_random_opponents": ("verify", ["--random-opponents", "0"],
+                              "--random-opponents 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(CLEAN_EXITS))
+def test_bad_value_exits_two_without_traceback_or_warning(tmp_path, network_file,
+                                                          case):
+    command, extra, named = CLEAN_EXITS[case]
+    game, assignment = _assignment_file(tmp_path)
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"rules": {"2": [[0.5] * 4] * 2}}))
+    argv = {
+        "design": ["--game", game, "--player", "1"],
+        "verify": ["--game", game, "--assignment", str(assignment)],
+        "simulate": ["--game", game, "--rules", str(rules),
+                     "--assignment", str(assignment), "--steps", "100"],
+        "neg": ["--network", network_file, "--node", "B", "--out",
+                str(tmp_path / "neg"),
+                "--relation", "pin:target=2,value=2,row=1,mu=auto"],
+    }[command]
+    src = os.path.dirname(os.path.dirname(zdkit.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "zdkit.cli",
+         command, *argv, *extra],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, check=False)
+    assert proc.returncode == 2, proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and named in errors[0], proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +645,7 @@ def test_design_mu_overflow_exits_two(tmp_path, capsys):
 
 def _assignment_file(tmp_path):
     game = tmp_path / "game.json"
-    GameSpec(k=(2, 2), payoffs=PD_GAME).save(game)
+    save_game(GameSpec(k=(2, 2), payoffs=PD_GAME), game)
     path = tmp_path / "a.json"
     assert run(["design", "--game", str(game), "--player", "1",
                 "--relation", "pin:target=2,value=2,row=1,mu=auto",

@@ -36,8 +36,8 @@ def brute_force_pee(rules, indexer):
     the probability of moving to their component of s' given profile s."""
     kappa = indexer.kappa
     L = np.ones((kappa, kappa))
-    for s_next in range(1, kappa + 1):
-        tup = indexer.decode(s_next)
+    profiles = itertools.product(*(range(1, k + 1) for k in indexer.k))
+    for s_next, tup in enumerate(profiles, start=1):
         for s in range(1, kappa + 1):
             prob = 1.0
             for i, j in enumerate(tup, start=1):
@@ -477,6 +477,17 @@ def test_assemble_auto_mu_and_row_checks(pinning_game):
         design_row(pinning_game, 2, 1, rel, auto.relations[0][2]))
     with pytest.raises(DomainError, match="row 1 designed twice"):
         assemble(pinning_game, 2, [(1, rel, 0.1), (1, rel, 0.2)])
+
+    # the k-th row is refused as it arrives, before another triple is taken
+    def triples():
+        yield from [(1, rel, 0.1), (3, rel, 0.1), (2, rel, 0.1)]
+        raise AssertionError("a triple was taken after the refused row")
+
+    with pytest.raises(DomainError, match="can design at most 2 rows"):
+        assemble(pinning_game, 2, triples())
+    # an assignment built directly is checked by the same rules and wording
+    with pytest.raises(DomainError, match="row 3 outside 1..2, the strategies"):
+        ZDAssignment(designer=1, rows=np.zeros((2, 4)), relations=((3, rel, 0.1),))
     # w = V_1 = (1, -1, 0, 0) changes sign inside phi(1, 1): only mu = 0 fits
     game = GameSpec(k=(2, 2), payoffs=[[1, -1, 0, 0], [0, 0, 0, 0]])
     with pytest.raises(DomainError, match="only the excluded point 0"):

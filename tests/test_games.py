@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 import pathlib
 
 import numpy as np
@@ -61,33 +62,6 @@ def test_kappa_params_rejects_bad_counts():
         kappa_params([])
     with pytest.raises(DomainError):
         kappa_params([2, 1])
-
-
-def test_profile_index_golden():
-    ix = kappa_params([2, 3, 2])
-    assert ix.encode((1, 1, 1)) == 1
-    assert ix.encode((1, 2, 1)) == 3
-    assert ix.encode((2, 3, 2)) == 12
-
-
-def test_encode_decode_roundtrip_exhaustive():
-    # all shapes with kappa <= 256, alphabetic order with last index fastest
-    for k in [(2, 2), (2, 3, 2), (3, 3, 3), (2, 2, 2, 2), (4, 4, 4, 4), (5, 3)]:
-        ix = kappa_params(k)
-        if ix.kappa > 256:
-            continue
-        expected = list(itertools.product(*[range(1, ki + 1) for ki in k]))
-        for idx, tup in enumerate(expected, start=1):
-            assert ix.encode(tup) == idx
-            assert ix.decode(idx) == tup
-
-
-def test_encode_out_of_range():
-    ix = kappa_params([2, 3, 2])
-    with pytest.raises(DomainError):
-        ix.encode((1, 4, 1))
-    with pytest.raises(DomainError):
-        ix.decode(13)
 
 
 def test_phi_sets_golden_232():
@@ -161,7 +135,7 @@ def test_gamespec_validation():
 
 def test_gamespec_json_roundtrip(tmp_path, pinning_game):
     path = tmp_path / "game.json"
-    pinning_game.save(path)
+    write_text(path, json.dumps(pinning_game.to_json(), indent=2))
     loaded = GameSpec.load(path)
     assert loaded.k == pinning_game.k
     np.testing.assert_array_equal(loaded.payoffs, pinning_game.payoffs)
@@ -173,12 +147,13 @@ def test_gamespec_json_missing_field():
 
 
 # ---------------------------------------------------------------------------
-# phi/xi by index arithmetic against the decode-every-profile versions they
-# replaced, kept here as references.
+# phi/xi by index arithmetic against references that decode every profile,
+# enumerated as itertools.product does: alphabetic, last index fastest.
 
 
 def decode_phi(ix, i, j):
-    return tuple(s for s in range(1, ix.kappa + 1) if ix.decode(s)[i - 1] == j)
+    profiles = itertools.product(*(range(1, k + 1) for k in ix.k))
+    return tuple(s for s, tup in enumerate(profiles, start=1) if tup[i - 1] == j)
 
 
 def decode_xi(ix, i, j):
@@ -188,7 +163,7 @@ def decode_xi(ix, i, j):
 
 
 PHI_SHAPES = [(2, 2), (3, 2), (2, 3, 2), (4, 3), (2, 2, 2, 2), (3, 4, 2),
-              (4, 4, 4), (2, 7), (5, 2, 3)]
+              (4, 4, 4), (2, 7), (5, 2, 3), (3, 3, 3), (4, 4, 4, 4), (5, 3)]
 
 
 @pytest.mark.parametrize("k", PHI_SHAPES, ids=str)
@@ -274,9 +249,10 @@ def test_write_text_rewrites_a_longer_file_in_place(tmp_path):
 
 def test_gamespec_save_over_a_longer_file(tmp_path, pinning_game):
     fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
-    pinning_game.save(fresh)
+    text = json.dumps(pinning_game.to_json(), indent=2)
+    write_text(fresh, text)
     reused.write_text("{" * 10_000)
-    pinning_game.save(reused)
+    write_text(reused, text)
     assert reused.read_bytes() == fresh.read_bytes()
     assert not fresh.read_text().endswith("\n")
 

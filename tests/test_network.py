@@ -51,11 +51,11 @@ def test_reduce_node_a_payoff_vectors():
     game = fop.game
     assert game.k == (2, 3) and game.kappa == 6
     np.testing.assert_array_equal(
-        game.payoff_vector(1), [2 * R, R + S, 2 * S, 2 * T, T + P, 2 * P])
+        game.payoffs[0], [2 * R, R + S, 2 * S, 2 * T, T + P, 2 * P])
     np.testing.assert_array_equal(
-        game.payoff_vector(2), [2 * R, R + T, 2 * T, 2 * S, S + P, 2 * P])
+        game.payoffs[1], [2 * R, R + T, 2 * T, 2 * S, S + P, 2 * P])
     # numeric values with T=5, R=3, P=1, S=0
-    np.testing.assert_array_equal(game.payoff_vector(1), [6, 3, 0, 10, 6, 2])
+    np.testing.assert_array_equal(game.payoffs[0], [6, 3, 0, 10, 6, 2])
     assert game.indexer.phi(1, 1) == (1, 2, 3)
     np.testing.assert_array_equal(game.indexer.xi(1, 1), [1, 1, 1, 0, 0, 0])
 
@@ -65,10 +65,10 @@ def test_reduce_node_b_payoff_vectors():
     game = fop.game
     assert game.k == (2, 4) and game.kappa == 8
     np.testing.assert_array_equal(
-        game.payoff_vector(1),
+        game.payoffs[0],
         [3 * R, 2 * R + S, R + 2 * S, 3 * S, 3 * T, 2 * T + P, T + 2 * P, 3 * P])
     np.testing.assert_array_equal(
-        game.payoff_vector(2),
+        game.payoffs[1],
         [3 * R, 2 * R + T, R + 2 * T, 3 * T, 3 * S, 2 * S + P, S + 2 * P, 3 * P])
 
 
@@ -77,11 +77,11 @@ def test_reduce_node_c_payoff_vectors():
     game = fop.game
     assert game.k == (2, 5) and game.kappa == 10
     np.testing.assert_array_equal(
-        game.payoff_vector(1),
+        game.payoffs[0],
         [4 * R, 3 * R + S, 2 * R + 2 * S, R + 3 * S, 4 * S,
          4 * T, 3 * T + P, 2 * T + 2 * P, T + 3 * P, 4 * P])
     np.testing.assert_array_equal(
-        game.payoff_vector(2),
+        game.payoffs[1],
         [4 * R, 3 * R + T, 2 * R + 2 * T, R + 3 * T, 4 * T,
          4 * S, 3 * S + P, 2 * S + 2 * P, S + 3 * P, 4 * P])
 
@@ -90,8 +90,8 @@ def test_degree_one_reduction_is_plain_bimatrix_game():
     fop = reduce_to_fop(fig1_network(), "E")
     game = fop.game
     assert game.k == (2, 2)
-    np.testing.assert_array_equal(game.payoff_vector(1), PD.ravel())
-    np.testing.assert_array_equal(game.payoff_vector(2), PD.T.ravel())
+    np.testing.assert_array_equal(game.payoffs[0], PD.ravel())
+    np.testing.assert_array_equal(game.payoffs[1], PD.T.ravel())
 
 
 def test_payoff_linearity_in_counts():
@@ -104,8 +104,8 @@ def test_payoff_linearity_in_counts():
             doubled = tuple(2 * d for d in d2)
             idx4 = c4.aggregate_profiles.index(doubled)
             for player in (1, 2):
-                v2 = a2.game.payoff_vector(player)[a * 3 + idx2]
-                v4 = c4.game.payoff_vector(player)[a * 5 + idx4]
+                v2 = a2.game.payoffs[player - 1][a * 3 + idx2]
+                v4 = c4.game.payoffs[player - 1][a * 5 + idx4]
                 assert v4 == 2 * v2
 
 
@@ -159,8 +159,9 @@ def test_network_json_roundtrip(tmp_path):
     path = tmp_path / "net.json"
     import json
 
-    with open(path, "w") as fh:
-        json.dump(net.to_json(), fh)
+    path.write_text(json.dumps({
+        "nodes": list(net.nodes), "edges": [list(e) for e in net.edges],
+        "base_game": {"k": net.k, "payoff_bimatrix": net.base_payoff.tolist()}}))
     loaded = NetworkGame.load(path)
     assert loaded.nodes == net.nodes
     assert loaded.edges == net.edges
@@ -245,7 +246,6 @@ def test_indexed_network_matches_scan_references(seed, k, str_ids, int_payoffs):
     net = NetworkGame(nodes=nodes, edges=edges, base_payoff=pay)
     assert net.edges == edges
     for node in nodes:
-        assert net.neighbors(node) == scan_neighbors(net, node)
         assert net.degree(node) == len(scan_neighbors(net, node))
         if net.degree(node) == 0:
             continue
@@ -304,7 +304,7 @@ def test_network_errors_match_scan_reference(seed):
     # no edges at all: every node loads isolated and cannot be reduced
     net = NetworkGame(nodes=nodes, edges=(), base_payoff=PD)
     assert net.edges == () and net.ends.shape == (0, 2)
-    assert all(net.degree(node) == 0 and net.neighbors(node) == () for node in nodes)
+    assert all(net.degree(node) == 0 for node in nodes)
     with pytest.raises(DomainError, match="has no neighbors"):
         reduce_to_fop(net, nodes[0])
 
@@ -332,7 +332,6 @@ def test_large_ring_loads_in_linear_time(tmp_path):
     assert time.perf_counter() - start < 1.0
     start = time.perf_counter()
     assert all(net.degree(v) == 2 for v in ids)
-    assert net.neighbors("n0") == ("n1", f"n{n - 1}")
     assert time.perf_counter() - start < 1.0
     # what loading keeps is the position dict and the end and degree
     # arrays; a dict per node or a tuple per edge would double it

@@ -81,7 +81,7 @@ def test_assembled_design_keeps_row_sum_identity(case):
     rules = _opponents(game, assignment, seed)
     rules[assignment.designer] = assignment.as_rule()
     rules = [rules[p] for p in range(1, game.n + 1)]
-    for j in range(1, assignment.k + 1):
+    for j in range(1, len(assignment.rows) + 1):
         xi_sum_identity(rules, assignment.designer, j)
 
 
