@@ -304,7 +304,10 @@ def cmd_neg(args) -> int:
     node = args.node
     if node not in net.position and node.removeprefix("-").isdecimal():
         node = int(node)  # an integer id, such as -1
-    fop = reduce_to_fop(net, node)
+    try:
+        fop = reduce_to_fop(net, node)
+    except ZDKitError as exc:
+        raise ValidationError(f"{args.network}: {exc}") from exc
     assignment = _assemble_specs(fop.game, 1, args.relation)
     rationality = rationality_check(assignment)
     trials = _random_trials(args.seed, fop.game, 1, args.random_opponents)

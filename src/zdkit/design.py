@@ -150,7 +150,7 @@ class ZDAssignment:
         table of numbers whose columns each sum to 1 (negative entries are
         allowed: an irrational design has them).  Each relation needs an
         integer row_index, one coefficient per player, and coeffs, constant
-        and mu that are JSON numbers.
+        and mu that are JSON numbers, and its row must be finite on game.
         """
         designer, relations, rows = json_fields(
             doc, ("designer", "relations", "rows"), "assignment file")
@@ -184,7 +184,9 @@ class ZDAssignment:
                     f"coefficients for {game.n} players")
             constant, mu = numeric_table([[constant, mu]],
                                          f"{what}: constant and mu")[0]
-            triples.append((j, LinearRelation(tuple(coeffs), constant), float(mu)))
+            relation = LinearRelation(tuple(coeffs), constant)
+            _finite_row(game, j, relation)
+            triples.append((j, relation, float(mu)))
         return cls(designer=designer, rows=rows, relations=tuple(triples))
 
 
@@ -203,6 +205,15 @@ def _checked_rows(designer: int, k: int, triples):
                               f"rows; the last row is determined by the others")
         designed.add(j)
         yield j, relation, mu
+
+
+def _finite_row(game: GameSpec, j: int, relation: LinearRelation) -> np.ndarray:
+    """relation.row(game), or DomainError when an entry overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = relation.row(game)
+    if not np.isfinite(w).all():
+        raise DomainError(f"relation of row {j} overflows on this game")
+    return w
 
 
 def design_row(game: GameSpec, i: int, j: int, relation: LinearRelation,
@@ -227,9 +238,7 @@ def assemble(game: GameSpec, designer: int, rows) -> ZDAssignment:
     k = game.k[designer - 1]
     m, relations = np.zeros((k, game.kappa)), []
     for j, relation, mu in _checked_rows(designer, k, rows):
-        w = relation.row(game)
-        if not np.isfinite(w).all():
-            raise DomainError(f"relation of row {j} overflows on this game")
+        w = _finite_row(game, j, relation)
         if not w.any():
             raise DomainError(
                 f"relation of row {j} is identically zero on this game; it "

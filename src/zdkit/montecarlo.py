@@ -2,13 +2,32 @@
 
 The chain is sampled state by state from the columns of the transition
 matrix with a seeded generator (numpy PCG64), so runs are reproducible from
-(seed, inputs) alone.  Each step is one ``bisect_right`` of a uniform draw in
-the current column of the cumulative matrix, kept as Python lists; it probes
-the same midpoints with the same test as ``np.searchsorted(side="right")``,
-so it returns the same state even on a column made non-monotone by entries in
-[-POSITIVITY_TOL, 0).  Draws are taken DRAW_CHUNK at a time, which continues
+(seed, inputs) alone.  Draws are taken DRAW_CHUNK at a time, which continues
 the stream of a single ``rng.random(steps)`` call.  The first tenth of each
 run is discarded as burn-in before empirical statistics are taken.
+
+A step goes from state s to ``bisect_right(column_s, u)`` for a uniform draw
+u, where column_s is column s of the cumulative matrix, kept as a Python
+list.  bisect probes the same midpoints with the same test as
+``np.searchsorted(side="right")``, so it returns the same state even on a
+column made non-monotone by entries in [-POSITIVITY_TOL, 0).
+
+Most steps skip the bisect through a guide table (Chen & Asau 1974; Devroye
+1986, sec. III.2.4), built once per run by ``guide_table``.  G is the
+smallest power of two >= 4 kappa, so ``u * G`` is exact and its integer part
+g is the exact bucket [g/G, (g+1)/G) of u.  On a non-decreasing column
+``bisect_right`` is non-decreasing in u, so where it takes the same value at
+both ends of a bucket it takes it at every u inside, and the table holds that
+value; everywhere else, and on every column that is not non-decreasing, it
+holds -1 and the step bisects.  So every step returns the state the bisect
+returns, for every draw.  Building the table costs about kappa * G
+operations, so it is built only when kappa * G <= 2 * steps (kappa = 64 from
+8,192 steps, kappa = 256 from 131,072); shorter runs bisect every step.
+
+Memory: the cumulative columns (kappa^2 Python floats) and, when built, the
+table (kappa * G Python ints, 4 to 8 kappa^2) are fixed per run; beyond them
+a run keeps about 16 bytes per step, the int64 states and their post-burn-in
+copy.
 """
 
 from __future__ import annotations
@@ -45,6 +64,24 @@ class Trajectory:
         }
 
 
+def guide_table(cum: np.ndarray, G: int) -> np.ndarray:
+    """The kappa x G guide table of a cumulative matrix; G a power of two.
+
+    Entry [s, g] is bisect_right(cum[:, s], u) for every u in [g/G, (g+1)/G),
+    or -1 (see the module docstring).  On a non-decreasing column that count
+    at g/G is the number of boundaries c with ceil(c * G) <= g.
+    """
+    kappa = cum.shape[0]
+    # column s counts its boundaries in slots s * (G + 1) .. s * (G + 1) + G
+    slots = np.clip(np.ceil(cum * G), 0, G).astype(np.intp)
+    slots += np.arange(kappa) * (G + 1)
+    below = np.bincount(slots.ravel(), minlength=kappa * (G + 1))
+    below = below.reshape(kappa, G + 1).cumsum(axis=1)  # [s, g]: count at g/G
+    guide = np.where(below[:, :-1] == below[:, 1:], below[:, :-1], -1)
+    guide[(np.diff(cum, axis=0) < 0).any(axis=0)] = -1
+    return guide
+
+
 def simulate(L, x0: int, steps: int, seed: int,
              game: GameSpec | None = None,
              burn_in: int | None = None) -> Trajectory:
@@ -61,16 +98,24 @@ def simulate(L, x0: int, steps: int, seed: int,
     cum = np.cumsum(m, axis=0)
     cum[-1, :] = 1.0  # guard against rounding in the last bin
     columns = cum.T.tolist()
+    G = 1 << (4 * kappa - 1).bit_length()  # the smallest power of two >= 4 kappa
+    guide = guide_table(cum, G).tolist() if kappa * G <= 2 * steps else None
     rng = np.random.default_rng(seed)
     states = np.empty(steps, dtype=np.int64)
     s = x0 - 1
     for start in range(0, steps, DRAW_CHUNK):
-        draws = rng.random(min(DRAW_CHUNK, steps - start)).tolist()
+        u = rng.random(min(DRAW_CHUNK, steps - start))
         chunk = []
-        for u in draws:
-            s = bisect_right(columns[s], u)
-            chunk.append(s)
-        states[start:start + len(chunk)] = chunk
+        if guide is None:
+            for x in u.tolist():
+                s = bisect_right(columns[s], x)
+                chunk.append(s)
+        else:
+            for x, g in zip(u.tolist(), (u * G).astype(np.intp).tolist()):
+                t = guide[s][g]
+                s = t if t >= 0 else bisect_right(columns[s], x)
+                chunk.append(s)
+        states[start:start + u.size] = np.fromiter(chunk, np.int64, u.size)
     kept = states[burn_in:]
     counts = np.bincount(kept, minlength=kappa)
     empirical = counts / counts.sum()

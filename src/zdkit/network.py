@@ -213,6 +213,10 @@ def reduce_to_fop(net: NetworkGame, node) -> FOPGame:
     d = np.array(counts, dtype=float).T  # (k, m): column t is counts[t]
     pay = net.base_payoff
     # entry (a, t) of pay @ d is sum_j counts[t][j] * payoff(a, j)
-    payoffs = np.vstack([(pay @ d).ravel(), (pay.T @ d).ravel()])
+    with np.errstate(over="ignore", invalid="ignore"):
+        payoffs = np.vstack([(pay @ d).ravel(), (pay.T @ d).ravel()])
+    if not np.isfinite(payoffs).all():
+        raise DomainError(
+            f"node {node!r} of degree {deg}: reduced payoffs overflow")
     game = GameSpec(k=(k, len(counts)), payoffs=payoffs)
     return FOPGame(focal=node, game=game, aggregate_profiles=tuple(counts))

@@ -594,7 +594,10 @@ def test_design_mu_overflow_exits_two(tmp_path, capsys):
 
 
 # bad values that once ended in a traceback, a numpy warning or a wrong
-# message, with what the one error line must name
+# message, with what the one error line must name; {tmp} in an argument is
+# the test's directory, which holds overflow.json (the good assignment with
+# coeffs [1e308, 1e308]) and overflow_net.json (the network with a payoff
+# entry of 1e308); a repeated option takes its last value
 CLEAN_EXITS = {
     "z_nan": ("simulate", ["--z", "nan"], "argument --z: 'nan'"),
     "z_inf": ("simulate", ["--z", "inf"], "argument --z: 'inf'"),
@@ -608,6 +611,12 @@ CLEAN_EXITS = {
                           "relation of row 1 overflows on this game"),
     "zero_random_opponents": ("verify", ["--random-opponents", "0"],
                               "--random-opponents 0"),
+    "assignment_relation_overflow": (
+        "verify", ["--random-opponents", "1", "--assignment", "{tmp}/overflow.json"],
+        "overflow.json: relation of row 1 overflows on this game"),
+    "reduction_overflow": (
+        "neg", ["--network", "{tmp}/overflow_net.json"],
+        "overflow_net.json: node 'B' of degree 3: reduced payoffs overflow"),
 }
 
 
@@ -616,6 +625,14 @@ def test_bad_value_exits_two_without_traceback_or_warning(tmp_path, network_file
                                                           case):
     command, extra, named = CLEAN_EXITS[case]
     game, assignment = _assignment_file(tmp_path)
+    doc = json.loads(assignment.read_text())
+    doc["relations"][0]["coeffs"] = [1e308, 1e308]
+    (tmp_path / "overflow.json").write_text(json.dumps(doc))
+    with open(network_file) as fh:
+        doc = json.load(fh)
+    doc["base_game"]["payoff_bimatrix"] = [[1e308, 0], [5, 1]]
+    (tmp_path / "overflow_net.json").write_text(json.dumps(doc))
+    extra = [arg.format(tmp=tmp_path) for arg in extra]
     rules = tmp_path / "rules.json"
     rules.write_text(json.dumps({"rules": {"2": [[0.5] * 4] * 2}}))
     argv = {

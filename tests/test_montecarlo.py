@@ -1,4 +1,5 @@
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from zdkit import (
     simulate,
 )
 from zdkit.markov import nullspace_stationary
-from zdkit.montecarlo import DRAW_CHUNK
+from zdkit import montecarlo
+from zdkit.montecarlo import DRAW_CHUNK, guide_table
 from conftest import EXTORTION_PAYOFFS, random_stochastic
 from test_acceptance import _sharp_interior_rule
 
@@ -148,20 +150,67 @@ def _walk_chain(rng, kind, kappa):
 WALK_KINDS = ("interior", "zeros", "logical", "tiny_negative", "overshoot")
 
 
+def _buckets(kappa):
+    return 1 << (4 * kappa - 1).bit_length()  # smallest power of two >= 4 kappa
+
+
 @pytest.mark.parametrize("kappa", [3, 12, 64, 256])
 @pytest.mark.parametrize("kind", WALK_KINDS)
-def test_walk_matches_searchsorted_reference(kind, kappa):
+def test_walk_matches_searchsorted_reference(kind, kappa, monkeypatch):
     rng = np.random.default_rng([kappa, WALK_KINDS.index(kind)])
     L = _walk_chain(rng, kind, kappa)
     if kind == "overshoot":
         assert (np.cumsum(L, axis=0)[-2] > 1.0).all()
+    built = []
+    monkeypatch.setattr(montecarlo, "guide_table",
+                        lambda cum, G: built.append(G) or guide_table(cum, G))
     x0 = kappa // 2 + 1
+    edge = kappa * _buckets(kappa) // 2  # the shortest run with a guide table
     for steps in (1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1,
-                  3 * DRAW_CHUNK + 7):
+                  3 * DRAW_CHUNK + 7, edge - 1, edge):
         seed = int(rng.integers(2 ** 32))
+        built.clear()
         traj = simulate(L, x0=x0, steps=steps, seed=seed, burn_in=0)
+        assert built == ([_buckets(kappa)] if steps >= edge else [])
         np.testing.assert_array_equal(
             traj.states, _searchsorted_walk(L, x0, steps, seed))
+
+
+def _dyadic_chain(rng, kappa):
+    """Entries that are multiples of 1/G, so every cumulative sum is a bucket
+    edge g/G."""
+    G = _buckets(kappa)
+    cuts = np.sort(rng.integers(0, G + 1, size=(kappa - 1, kappa)), axis=0)
+    edges = np.vstack([np.zeros(kappa), cuts, np.full(kappa, G)])
+    return np.diff(edges, axis=0) / G
+
+
+@pytest.mark.parametrize("kappa", [2, 12, 64])
+@pytest.mark.parametrize("kind", WALK_KINDS + ("dyadic",))
+def test_guide_table_entries_equal_bisect_across_each_bucket(kind, kappa):
+    rng = np.random.default_rng([kappa, 7, len(kind)])
+    L = _dyadic_chain(rng, kappa) if kind == "dyadic" else _walk_chain(rng, kind, kappa)
+    cum = np.cumsum(L, axis=0)
+    cum[-1, :] = 1.0
+    G = _buckets(kappa)
+    guide = guide_table(cum, G)
+    assert guide.shape == (kappa, G)
+    lo = np.arange(G) / G
+    hi = np.nextafter((np.arange(G) + 1) / G, 0)  # the last u in each bucket
+    for s in range(kappa):
+        column = cum[:, s].tolist()
+        if (np.diff(cum[:, s]) < 0).any():
+            assert (guide[s] == -1).all()
+            continue
+        for g in np.flatnonzero(guide[s] >= 0):
+            assert guide[s, g] == bisect_right(column, lo[g]) == bisect_right(
+                column, hi[g])
+        # a bucket is left to bisect only when one of the kappa boundaries
+        # lies inside it or on its upper edge
+        assert (guide[s] == -1).sum() <= kappa
+    if kind == "dyadic":
+        assert (cum * G == np.round(cum * G)).all()
+        assert (guide >= 0).mean() > 0.5
 
 
 def test_acceptance_chain_trajectory_digest():
