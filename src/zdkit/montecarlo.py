@@ -13,21 +13,28 @@ list.  bisect probes the same midpoints with the same test as
 column made non-monotone by entries in [-POSITIVITY_TOL, 0).
 
 Most steps skip the bisect through a guide table (Chen & Asau 1974; Devroye
-1986, sec. III.2.4), built once per run by ``guide_table``.  G is the
-smallest power of two >= 4 kappa, so ``u * G`` is exact and its integer part
-g is the exact bucket [g/G, (g+1)/G) of u.  On a non-decreasing column
-``bisect_right`` is non-decreasing in u, so where it takes the same value at
-both ends of a bucket it takes it at every u inside, and the table holds that
-value; everywhere else, and on every column that is not non-decreasing, it
-holds -1 and the step bisects.  So every step returns the state the bisect
-returns, for every draw.  Building the table costs about kappa * G
-operations, so it is built only when kappa * G <= 2 * steps (kappa = 64 from
-8,192 steps, kappa = 256 from 131,072); shorter runs bisect every step.
+1986, sec. III.2.4), built once per run by ``guide_table``.  G is a power of
+two, so ``u * G`` is exact and its integer part g is the exact bucket
+[g/G, (g+1)/G) of u.  On a non-decreasing column ``bisect_right`` is
+non-decreasing in u, so where it takes the same value at both ends of a
+bucket it takes it at every u inside, and the table holds that value;
+everywhere else, and on every column that is not non-decreasing, it holds -1
+and the step bisects.  So every step returns the state the bisect returns,
+for every draw, whatever G is.
 
-Memory: the cumulative columns (kappa^2 Python floats) and, when built, the
-table (kappa * G Python ints, 4 to 8 kappa^2) are fixed per run; beyond them
-a run keeps about 16 bytes per step, the int64 states and their post-burn-in
-copy.
+G is the smallest power of two >= 4 kappa, which leaves at most one bucket
+in four to bisect (a column has kappa boundaries), halved until the table has at most
+``steps`` entries (down to 1, where every step bisects), so neither building
+nor holding the table outgrows the run.  kappa = 64 gets the full table
+(G = 256) from 16,384 steps, kappa = 256 (G = 1024) from 262,144.  A coarse
+table answers few steps and still costs its lookup on every step, so short
+runs at large kappa are slower than a plain bisect walk would be.
+
+Memory: the cumulative columns (kappa^2 Python floats) are fixed per run.
+The table has at most max(steps, kappa) entries of 8 bytes, pointers to
+kappa + 1 shared ints, and is freed before the post-burn-in copy is made, so
+beyond the columns a run peaks at about 16 bytes per step: the int64 states
+with the table, or the states with their copy.
 """
 
 from __future__ import annotations
@@ -98,24 +105,25 @@ def simulate(L, x0: int, steps: int, seed: int,
     cum = np.cumsum(m, axis=0)
     cum[-1, :] = 1.0  # guard against rounding in the last bin
     columns = cum.T.tolist()
-    G = 1 << (4 * kappa - 1).bit_length()  # the smallest power of two >= 4 kappa
-    guide = guide_table(cum, G).tolist() if kappa * G <= 2 * steps else None
+    G = 1 << (4 * kappa - 1).bit_length()
+    while G > 1 and kappa * G > steps:
+        G //= 2
+    # values[-1] is -1; indexing it shares kappa + 1 int objects, where
+    # tolist() would make a new one for every entry above 256
+    values = np.array([*range(kappa), -1], dtype=object)
+    guide = values[guide_table(cum, G)].tolist()
     rng = np.random.default_rng(seed)
     states = np.empty(steps, dtype=np.int64)
     s = x0 - 1
     for start in range(0, steps, DRAW_CHUNK):
         u = rng.random(min(DRAW_CHUNK, steps - start))
         chunk = []
-        if guide is None:
-            for x in u.tolist():
-                s = bisect_right(columns[s], x)
-                chunk.append(s)
-        else:
-            for x, g in zip(u.tolist(), (u * G).astype(np.intp).tolist()):
-                t = guide[s][g]
-                s = t if t >= 0 else bisect_right(columns[s], x)
-                chunk.append(s)
+        for x, g in zip(u.tolist(), (u * G).astype(np.intp).tolist()):
+            t = guide[s][g]
+            s = t if t >= 0 else bisect_right(columns[s], x)
+            chunk.append(s)
         states[start:start + u.size] = np.fromiter(chunk, np.int64, u.size)
+    del guide  # before the post-burn-in copy, so the two never add up
     kept = states[burn_in:]
     counts = np.bincount(kept, minlength=kappa)
     empirical = counts / counts.sum()

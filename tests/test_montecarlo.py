@@ -161,38 +161,43 @@ def test_walk_matches_searchsorted_reference(kind, kappa, monkeypatch):
     L = _walk_chain(rng, kind, kappa)
     if kind == "overshoot":
         assert (np.cumsum(L, axis=0)[-2] > 1.0).all()
-    built = []
+    used = []
     monkeypatch.setattr(montecarlo, "guide_table",
-                        lambda cum, G: built.append(G) or guide_table(cum, G))
+                        lambda cum, G: used.append(G) or guide_table(cum, G))
     x0 = kappa // 2 + 1
-    edge = kappa * _buckets(kappa) // 2  # the shortest run with a guide table
+    full = kappa * _buckets(kappa)  # the shortest run with the full table
     for steps in (1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1,
-                  3 * DRAW_CHUNK + 7, edge - 1, edge):
+                  3 * DRAW_CHUNK + 7, full - 1, full):
         seed = int(rng.integers(2 ** 32))
-        built.clear()
+        used.clear()
         traj = simulate(L, x0=x0, steps=steps, seed=seed, burn_in=0)
-        assert built == ([_buckets(kappa)] if steps >= edge else [])
+        # the finest power-of-two table with at most max(steps, kappa) entries
+        [G] = used
+        assert G & (G - 1) == 0 and G <= _buckets(kappa)
+        assert kappa * G <= max(steps, kappa)
+        assert G == _buckets(kappa) or 2 * kappa * G > steps
         np.testing.assert_array_equal(
             traj.states, _searchsorted_walk(L, x0, steps, seed))
 
 
 def _dyadic_chain(rng, kappa):
     """Entries that are multiples of 1/G, so every cumulative sum is a bucket
-    edge g/G."""
+    edge g/G of the full table."""
     G = _buckets(kappa)
     cuts = np.sort(rng.integers(0, G + 1, size=(kappa - 1, kappa)), axis=0)
     edges = np.vstack([np.zeros(kappa), cuts, np.full(kappa, G)])
     return np.diff(edges, axis=0) / G
 
 
+@pytest.mark.parametrize("coarse", [1, 8, None])  # G = full / coarse, or 1
 @pytest.mark.parametrize("kappa", [2, 12, 64])
 @pytest.mark.parametrize("kind", WALK_KINDS + ("dyadic",))
-def test_guide_table_entries_equal_bisect_across_each_bucket(kind, kappa):
+def test_guide_table_entries_equal_bisect_across_each_bucket(kind, kappa, coarse):
     rng = np.random.default_rng([kappa, 7, len(kind)])
     L = _dyadic_chain(rng, kappa) if kind == "dyadic" else _walk_chain(rng, kind, kappa)
     cum = np.cumsum(L, axis=0)
     cum[-1, :] = 1.0
-    G = _buckets(kappa)
+    G = _buckets(kappa) // coarse if coarse else 1
     guide = guide_table(cum, G)
     assert guide.shape == (kappa, G)
     lo = np.arange(G) / G
@@ -208,7 +213,8 @@ def test_guide_table_entries_equal_bisect_across_each_bucket(kind, kappa):
         # a bucket is left to bisect only when one of the kappa boundaries
         # lies inside it or on its upper edge
         assert (guide[s] == -1).sum() <= kappa
-    if kind == "dyadic":
+        assert guide[s, -1] == -1  # the boundary 1.0 ends the last bucket
+    if kind == "dyadic" and coarse == 1:
         assert (cum * G == np.round(cum * G)).all()
         assert (guide >= 0).mean() > 0.5
 
@@ -234,22 +240,46 @@ def test_acceptance_chain_trajectory_digest():
         302606, 10963, 309054]
 
 
+def _peaks(L, *steps):
+    """Peak traced memory of one run of each length."""
+    simulate(L, x0=1, steps=2 * DRAW_CHUNK, seed=1)  # warm up
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        peaks = []
+        for n in steps:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            simulate(L, x0=1, steps=n, seed=2)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        if started:
+            tracemalloc.stop()
+    return peaks
+
+
 def test_walk_memory_per_step():
     # the int64 states array plus its post-burn-in copy is ~15 bytes per
     # step; holding every draw at once (as floats or a Python list) is more
     rng = np.random.default_rng(46)
     L = random_stochastic(rng, 12)
     steps = 200_000
-    simulate(L, x0=1, steps=2 * DRAW_CHUNK, seed=1)  # warm up
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        simulate(L, x0=1, steps=steps, seed=2)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
+    [peak] = _peaks(L, steps)
     assert peak / steps <= 24
+
+
+def test_walk_memory_per_step_with_the_largest_table():
+    # a table of exactly `steps` entries (G = 1024, the full one is 2048) is
+    # 8 bytes per step beside the states, and is freed before their copy;
+    # a table of its own int objects, one per entry above 256 (the ints
+    # Python caches), is more.  The kappa^2 columns, the peak of a one-step
+    # run, are left out.
+    kappa = 300
+    rng = np.random.default_rng(46)
+    L = random_stochastic(rng, kappa)
+    L[:256] = 0.0  # move to states 257.. only, so most entries are > 256
+    L /= L.sum(axis=0)
+    steps = kappa * 1024
+    one, peak = _peaks(L, 1, steps)
+    assert (peak - one) / steps <= 24
