@@ -14,7 +14,6 @@ from .design import (
     LinearRelation,
     ZDAssignment,
     assemble,
-    design_extortion,
     rationality_check,
     verify_effectiveness,
 )

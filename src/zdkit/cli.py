@@ -40,14 +40,26 @@ EXIT_INPUT_ERROR = 2
 # ---------------------------------------------------------------------------
 # relation-spec parsing
 
+# the fields each relation kind takes besides row and mu
+RELATION_FIELDS = {
+    "pin": ("target", "value"),
+    "extort": ("target", "factor", "r"),
+    "lin": ("coeffs", "constant"),
+}
 
-def _parse_kv(body: str) -> dict:
+
+def _parse_kv(kind: str, body: str) -> dict:
+    """The fields of a spec body, each one its kind takes, given once."""
     out = {}
     for part in body.split(","):
         if "=" not in part:
             raise ValidationError(f"malformed field {part!r}")
-        key, value = part.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (text.strip() for text in part.split("=", 1))
+        if key not in ("row", "mu", *RELATION_FIELDS[kind]):
+            raise ValidationError(f"a {kind!r} relation takes no field {key!r}")
+        if key in out:
+            raise ValidationError(f"field {key!r} given twice")
+        out[key] = value
     return out
 
 
@@ -73,14 +85,17 @@ def parse_relation_spec(spec: str, game: GameSpec, designer: int):
       extort:target=M,factor=CHI,r=R,row=J,mu=MU
       lin:coeffs=A1:A2:...:AN,constant=A0,row=J,mu=MU
     mu may be the literal 'auto' (returned as None) to take the midpoint of
-    the feasible interval.  Only the syntax is checked here: assemble checks
-    the designer, the row and the coefficient count.  Errors name the field;
-    _assemble_specs names the spec.
+    the feasible interval; mu and constant may be left out.  A field the
+    kind does not take, or one given twice, is refused.  Only the syntax is
+    checked here: assemble checks the designer, the row and the coefficient
+    count.  Errors name the field; _assemble_specs names the spec.
     """
     if ":" not in spec:
         raise ValidationError("missing 'kind:' prefix")
     kind, body = spec.split(":", 1)
-    fields = _parse_kv(body)
+    if kind not in RELATION_FIELDS:
+        raise ValidationError(f"unknown relation kind {kind!r}")
+    fields = _parse_kv(kind, body)
 
     def field(key, convert=_finite, what="a finite number"):
         if key not in fields:
@@ -100,13 +115,11 @@ def parse_relation_spec(spec: str, game: GameSpec, designer: int):
         relation = LinearRelation.extortion(
             game.n, designer, field("target", int, "an integer"),
             field("factor"), field("r"))
-    elif kind == "lin":
+    else:
         coeffs = field("coeffs", lambda t: tuple(map(_finite, t.split(":"))),
                        "a list of finite numbers")
         relation = LinearRelation(
             coeffs, field("constant") if "constant" in fields else 0.0)
-    else:
-        raise ValidationError(f"unknown relation kind {kind!r}")
     return row, relation, mu
 
 
@@ -196,11 +209,13 @@ def _random_trials(seed, game: GameSpec, designer: int, count: int) -> list:
             for _ in range(count)]
 
 
-def _emit(doc: dict, out, pretty: bool):
+def _emit(doc: dict, out, pretty: bool, end: str = "\n"):
+    """Write doc as JSON to the file out, or print it; every output goes
+    through here.  end follows the text in a file (neg's files have none)."""
     # allow_nan=False: a NaN or infinity would make the output invalid JSON
     text = json.dumps(doc, indent=2, allow_nan=False)
     if out:
-        write_text(out, text + "\n")
+        write_text(out, text + end)
     else:
         print(text)
     if pretty:
@@ -248,31 +263,29 @@ def cmd_design(args) -> int:
 def cmd_verify(args) -> int:
     game = GameSpec.load(args.game)
     assignment = load_json(args.assignment, ZDAssignment.from_json, game)
-    if args.opponents:
+    if args.opponents is not None:
         others = [p for p in range(1, game.n + 1) if p != assignment.designer]
         trials = [load_json(args.opponents, _read_rules, game, others)]
-    elif args.random_opponents is not None:
+    else:
         trials = _random_trials(args.seed, game, assignment.designer,
                                 args.random_opponents)
         if not trials:
             raise ValidationError("--random-opponents 0 gives verify nothing to check")
-    else:
-        raise ValidationError("need --opponents FILE or --random-opponents N")
     doc = _verify_trials(game, assignment, trials, args.tol)
     _emit(doc, args.out, args.pretty)
     return EXIT_OK if doc["all_effective"] else EXIT_CHECK_FAILED
 
 
 def cmd_analyze(args) -> int:
-    if args.matrix:
+    if args.matrix is not None:
+        if args.game is not None:
+            raise ValidationError("--game applies to --rules, not --matrix")
         L = load_json(args.matrix, _read_matrix)
-    elif args.rules:
-        game = GameSpec.load(args.game) if args.game else None
-        players = range(1, game.n + 1) if args.game else ()
+    else:
+        game = GameSpec.load(args.game) if args.game is not None else None
+        players = range(1, game.n + 1) if game is not None else ()
         rules = load_json(args.rules, _read_rules, game, players)
         L = build_pee([rules[p] for p in sorted(rules)])
-    else:
-        raise ValidationError("need --matrix FILE or --rules FILE")
     report = analyze(L)
     _emit(report.to_json(), args.out, args.pretty)
     return EXIT_OK
@@ -320,8 +333,7 @@ def cmd_neg(args) -> int:
     for name, doc in (("reduced_game.json", game_doc),
                       ("assignment.json", assignment.to_json()),
                       ("report.json", report_doc)):
-        write_text(os.path.join(args.out, name),
-                   json.dumps(doc, indent=2, allow_nan=False))
+        _emit(doc, os.path.join(args.out, name), False, end="")
     if args.pretty:
         _render_table(report_doc)
     all_ok = rationality.verdict and report_doc["all_effective"]
@@ -360,9 +372,10 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify an assignment against opponents")
     p.add_argument("--game", required=True)
     p.add_argument("--assignment", required=True)
-    p.add_argument("--opponents", help="JSON file with opponents' rule matrices")
-    p.add_argument("--random-opponents", type=int,
-                   help="verify against N random interior opponents")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--opponents", help="JSON file with opponents' rule matrices")
+    given.add_argument("--random-opponents", type=int,
+                       help="verify against N random interior opponents")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--tol", type=_positive, default=RESIDUAL_TOL,
                    help="residual tolerance for effectiveness")
@@ -370,9 +383,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("analyze", help="Markov analysis of a transition matrix")
-    p.add_argument("--game")
-    p.add_argument("--matrix", help="JSON file with the transition matrix")
-    p.add_argument("--rules", help="JSON file with all players' rules")
+    p.add_argument("--game", help="the game the --rules file is checked against")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--matrix", help="JSON file with the transition matrix")
+    given.add_argument("--rules", help="JSON file with all players' rules")
     common(p)
     p.set_defaults(func=cmd_analyze)
 

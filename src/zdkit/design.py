@@ -8,7 +8,8 @@ rule:
 
 where xi_{i,j} is the 0/1 indicator of profiles in which player i plays j.
 assemble is the one place that turns (row, relation, mu) triples into
-designed rows; the pinning and extortion designers and the CLI all call it.
+designed rows; a relation comes from LinearRelation.pinning, .extortion or
+the plain constructor, as the CLI's relation specs build it.
 The mechanism: summing the rows of L - I over those profiles gives exactly
 p_{i,j} - xi_{i,j} (the row-sum identity), and every row of L - I annihilates
 the stationary vector, so the relation is forced to hold whenever the chain
@@ -259,28 +260,6 @@ def assemble(game: GameSpec, designer: int, rows) -> ZDAssignment:
     free = [j - 1 for j in range(1, k + 1) if j not in designed]  # never empty
     m[free] = (1.0 - sum(m)) / len(free)  # row by row, so in ascending j
     return ZDAssignment(designer=designer, rows=m, relations=tuple(relations))
-
-
-def design_pinning(game: GameSpec, i: int, target: int, value: float,
-                   mu: float | None, row: int = 1) -> ZDAssignment:
-    """Pin E[c_target] to a constant via one designed row of player i."""
-    relation = LinearRelation.pinning(game.n, target, value)
-    return assemble(game, i, [(row, relation, mu)])
-
-
-def design_extortion(game: GameSpec, i: int, reference: float, targets: dict,
-                     mus: dict, rows: dict | None = None) -> ZDAssignment:
-    """Enforce E[c_i] - r = factor * (E[c_m] - r) for each target m.
-
-    targets maps opponent -> extortion factor; mus maps opponent -> mu (None
-    for auto); rows (optional) maps opponent -> designed row index,
-    defaulting to 1, 2, ...
-    """
-    if rows is None:
-        rows = {m: idx for idx, m in enumerate(sorted(targets), start=1)}
-    return assemble(game, i, [
-        (rows[m], LinearRelation.extortion(game.n, i, m, factor, reference), mus[m])
-        for m, factor in targets.items()])
 
 
 @dataclass(frozen=True)

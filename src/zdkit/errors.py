@@ -20,10 +20,3 @@ class ValidationError(ZDKitError, ValueError):
 class AnalysisError(ZDKitError, RuntimeError):
     """A Markov analysis precondition does not hold (e.g. non-primitive chain)."""
 
-
-class CapacityError(ZDKitError, RuntimeError):
-    """A computation exceeds a configured size cap."""
-
-
-class ConsistencyError(ZDKitError, RuntimeError):
-    """An internal identity failed, indicating a profile-ordering bug."""

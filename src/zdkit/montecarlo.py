@@ -134,13 +134,14 @@ def simulate(L, x0: int, steps: int, seed: int,
                       empirical=empirical, expected_payoffs=payoffs)
 
 
-def compare_empirical_vs_exact(traj: Trajectory, u, payoff_vectors=None,
-                               z: float = 3.0) -> dict:
+def compare_empirical_vs_exact(traj: Trajectory, u, payoff_vectors=None, *,
+                               z: float) -> dict:
     """Per-profile and per-player deviations of a trajectory from the exact chain.
 
     Profile deviations are judged against z binomial standard errors at the
     raw post-burn-in step count (no autocorrelation correction); payoff
-    gaps are reported both absolute and relative to the exact value.
+    gaps are reported both absolute and relative to the exact value.  The
+    trajectory's own seed, length and distribution are Trajectory.to_json's.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.shape[0] != traj.empirical.shape[0]:
@@ -153,9 +154,6 @@ def compare_empirical_vs_exact(traj: Trajectory, u, payoff_vectors=None,
     sigma = np.sqrt(np.maximum(u * (1.0 - u), 1e-300) / n)
     within = np.abs(dev) <= z * sigma
     report = {
-        "T": traj.length,
-        "seed": traj.seed,
-        "empirical": list(traj.empirical),
         "exact": list(u),
         "profile_deviation": list(dev),
         "z_threshold": z,

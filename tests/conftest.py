@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zdkit import GameSpec
+from zdkit import GameSpec, LinearRelation
 
 # 3-player game (2, 3, 2) used for the pinning design golden values
 PINNING_PAYOFFS = np.array([
@@ -29,6 +29,17 @@ EXTORTION_ROW_1 = np.array(
 EXTORTION_ROW_2 = np.array(
     [0.668, 0.22, 0.104, 0.168, 0.28, 0.548, 0.604, 0.272,
      0.768, 0.388, 0.16, 0.444])
+
+# the published extortion design as assemble's (row, relation, mu) triples:
+# player 2 enforces Ec_2 - 1 = 1.1 (Ec_1 - 1) with row 1 and
+# Ec_2 - 1 = 1.2 (Ec_3 - 1) with row 2; on EXTORTION_PAYOFFS,
+# assemble(game, 2, EXTORTION_DESIGN) designs EXTORTION_ROW_1 and _2
+EXTORTION_DESIGN = (
+    (1, LinearRelation.extortion(3, designer=2, target=1, factor=1.1,
+                                 reference=1.0), 0.05),
+    (2, LinearRelation.extortion(3, designer=2, target=3, factor=1.2,
+                                 reference=1.0), 0.1),
+)
 
 
 @pytest.fixture

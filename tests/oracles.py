@@ -13,15 +13,18 @@ from math import lcm
 
 import numpy as np
 
-from zdkit.errors import (
-    AnalysisError,
-    CapacityError,
-    ConsistencyError,
-    DimensionError,
-    DomainError,
-)
+from zdkit.errors import AnalysisError, DimensionError, DomainError, ZDKitError
 from zdkit.games import GameSpec, ProfileIndexer
 from zdkit.markov import DEFAULT_TOL, _matrix_of, build_pee
+
+
+class CapacityError(ZDKitError, RuntimeError):
+    """A computation exceeds a configured size cap."""
+
+
+class ConsistencyError(ZDKitError, RuntimeError):
+    """An internal identity failed, indicating a profile-ordering bug."""
+
 
 # ---------------------------------------------------------------------------
 # semi-tensor product algebra

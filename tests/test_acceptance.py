@@ -16,8 +16,8 @@ from zdkit import (
     ZDAssignment,
     analyze,
     build_pee,
+    assemble,
     build_rule,
-    design_extortion,
     rationality_check,
     reduce_to_fop,
     verify_effectiveness,
@@ -28,6 +28,7 @@ from zdkit.markov import is_primitive, nullspace_stationary, rank_defect
 from zdkit.montecarlo import simulate
 from zdkit.network import opponent_strategy_set
 from conftest import (
+    EXTORTION_DESIGN,
     EXTORTION_PAYOFFS,
     EXTORTION_ROW_1,
     EXTORTION_ROW_2,
@@ -119,9 +120,7 @@ def test_02_pinning_rows_golden():
 
 def test_03_extortion_rows_golden_and_rational():
     game = GameSpec(k=(2, 3, 2), payoffs=EXTORTION_PAYOFFS)
-    assignment = design_extortion(game, i=2, reference=1.0,
-                                  targets={1: 1.1, 3: 1.2},
-                                  mus={1: 0.05, 3: 0.1}, rows={1: 1, 3: 2})
+    assignment = assemble(game, 2, EXTORTION_DESIGN)
     r1 = assignment.rows[0]
     r2 = assignment.rows[1]
     err = max(np.max(np.abs(r1 - EXTORTION_ROW_1)),
@@ -182,9 +181,7 @@ def test_05_two_player_chain_equivalence():
 
 def test_06_extortion_effective_against_random_opponents():
     game = GameSpec(k=(2, 3, 2), payoffs=EXTORTION_PAYOFFS)
-    assignment = design_extortion(game, i=2, reference=1.0,
-                                  targets={1: 1.1, 3: 1.2},
-                                  mus={1: 0.05, 3: 0.1}, rows={1: 1, 3: 2})
+    assignment = assemble(game, 2, EXTORTION_DESIGN)
     rng = np.random.default_rng(106)
     t0 = time.perf_counter()
     all_primitive, worst_residual, worst_agreement = True, 0.0, 0.0
@@ -329,9 +326,7 @@ def _sharp_interior_rule(rng, player, k, kappa):
 
 def test_10_monte_carlo_extortion_relations():
     game = GameSpec(k=(2, 3, 2), payoffs=EXTORTION_PAYOFFS)
-    assignment = design_extortion(game, i=2, reference=1.0,
-                                  targets={1: 1.1, 3: 1.2},
-                                  mus={1: 0.05, 3: 0.1}, rows={1: 1, 3: 2})
+    assignment = assemble(game, 2, EXTORTION_DESIGN)
     rng = np.random.default_rng(288)
     opponents = {1: _sharp_interior_rule(rng, 1, 2, 12),
                  3: _sharp_interior_rule(rng, 3, 2, 12)}

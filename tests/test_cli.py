@@ -503,8 +503,7 @@ PD_GAME = np.array([[3, 0, 5, 1], [3, 5, 0, 1]], dtype=float)
 @pytest.mark.parametrize("command", ["design", "neg"])
 def test_cli_assignment_matches_library_design(network_file, tmp_path, command,
                                                kind, mu):
-    from zdkit import design_extortion, reduce_to_fop
-    from zdkit.design import design_pinning
+    from zdkit import LinearRelation, assemble, reduce_to_fop
     from test_network import fig1_network
 
     if command == "design":
@@ -521,12 +520,13 @@ def test_cli_assignment_matches_library_design(network_file, tmp_path, command,
     library_mu = None if mu == "auto" else float(mu)
     if kind == "pin":
         spec = f"pin:target=2,value=2,row=1,mu={mu}"
-        want = design_pinning(game, i=1, target=2, value=2.0, mu=library_mu)
+        relation = LinearRelation.pinning(2, target=2, value=2.0)
     else:
         # r = 2 leaves both games a feasible mu range
         spec = f"extort:target=2,factor=1.5,r=2,row=1,mu={mu}"
-        want = design_extortion(game, i=1, reference=2.0, targets={2: 1.5},
-                                mus={2: library_mu}, rows={2: 1})
+        relation = LinearRelation.extortion(2, designer=1, target=2,
+                                            factor=1.5, reference=2.0)
+    want = assemble(game, 1, [(1, relation, library_mu)])
     assert run(argv + ["--relation", spec]) in (0, 1)
     doc = json.loads(out.read_text())
     doc.pop("rationality", None)
@@ -550,6 +550,15 @@ BAD_RELATIONS = {
     "zero_relation_row": ("pin:target=2,value=2,row=1,mu=auto",
                           "identically zero"),
     "unknown_kind": ("foo:row=1,mu=auto", "unknown relation kind 'foo'"),
+    # a repeated field, or one its kind does not take, was once ignored
+    "mu_twice": ("pin:target=2,value=2,row=1,mu=0.1,mu=auto", "'mu' given twice"),
+    "row_twice": ("pin:target=2,value=2,row=1,row=1,mu=0.1", "'row' given twice"),
+    "misspelt_mu": ("pin:target=2,value=2,row=1,m=0.1", "no field 'm'"),
+    "pin_takes_no_factor": ("pin:target=2,value=2,row=1,factor=3,coeffs=1:2",
+                            "no field 'factor'"),
+    "extort_takes_no_value": ("extort:target=2,factor=1.5,r=1,value=2,row=1",
+                              "no field 'value'"),
+    "lin_takes_no_target": ("lin:coeffs=1:0,target=2,row=1", "no field 'target'"),
 }
 
 # payoffs a case needs instead of PD_GAME: player 2 collects 2 at every
@@ -568,6 +577,47 @@ def test_malformed_relation_field_exits_two(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(spec) in err
     assert field in err.split(repr(spec), 1)[1]
+
+
+# argparse refuses both of two exclusive inputs, or neither, with exit 2
+EXCLUSIVE_INPUTS = {
+    "analyze_matrix_and_rules": (
+        ["analyze", "--matrix", "{L}", "--rules", "{tmp}/absent.json"],
+        "argument --rules: not allowed with argument --matrix"),
+    "analyze_neither": (["analyze", "--game", "{game}"],
+                        "one of the arguments --matrix --rules is required"),
+    "verify_opponents_and_count": (
+        ["verify", "--game", "{game}", "--assignment", "{a}",
+         "--opponents", "{tmp}/absent.json", "--random-opponents", "3"],
+        "argument --random-opponents: not allowed with argument --opponents"),
+    "verify_neither": (
+        ["verify", "--game", "{game}", "--assignment", "{a}"],
+        "one of the arguments --opponents --random-opponents is required"),
+}
+
+
+@pytest.mark.parametrize("case", list(EXCLUSIVE_INPUTS))
+def test_exclusive_inputs_exit_two(tmp_path, capsys, case):
+    argv, message = EXCLUSIVE_INPUTS[case]
+    game, assignment = _assignment_file(tmp_path)
+    matrix = tmp_path / "L.json"
+    matrix.write_text(json.dumps({"matrix": [[0.9, 0.5], [0.1, 0.5]]}))
+    capsys.readouterr()
+    argv = [arg.format(tmp=tmp_path, game=game, a=assignment, L=matrix)
+            for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_analyze_matrix_with_game_exits_two(tmp_path, capsys):
+    # --game checks a rules file; with --matrix it would go unread
+    game, _ = _assignment_file(tmp_path)
+    matrix = tmp_path / "L.json"
+    matrix.write_text(json.dumps({"matrix": [[0.9, 0.5], [0.1, 0.5]]}))
+    assert run(["analyze", "--matrix", str(matrix), "--game", game]) == 2
+    assert "--game applies to --rules, not --matrix" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("player", ["0", "5"])
@@ -797,7 +847,8 @@ def test_main_reuses_its_parser_without_sharing_state(pinning_game_file,
     assert [r["row_index"] for r in relations] == [2]
     a = make_parser().parse_args(["verify", "--game", "g", "--assignment", "a",
                                   "--random-opponents", "3"])
-    b = make_parser().parse_args(["verify", "--game", "g", "--assignment", "a"])
+    b = make_parser().parse_args(["verify", "--game", "g", "--assignment", "a",
+                                  "--opponents", "o"])
     assert a.random_opponents == 3 and b.random_opponents is None
 
 

@@ -11,16 +11,12 @@ from zdkit import (
     build_pee,
     assemble,
     build_rule,
-    design_extortion,
     rationality_check,
     verify_effectiveness,
 )
-from zdkit.design import (
-    design_pinning,
-    design_row,
-    feasible_mu_interval,
-)
+from zdkit.design import design_row, feasible_mu_interval
 from conftest import (
+    EXTORTION_DESIGN,
     EXTORTION_ROW_1,
     EXTORTION_ROW_2,
     PINNING_ROW_1,
@@ -57,18 +53,16 @@ def test_linear_relation_constructors():
 
 
 def test_pinning_rows_reproduce_golden_vectors(pinning_game):
-    a1 = design_pinning(pinning_game, i=2, target=1, value=4, mu=0.1, row=1)
+    a1 = assemble(pinning_game, 2, [(1, LinearRelation.pinning(3, 1, 4), 0.1)])
     np.testing.assert_allclose(a1.rows[0], PINNING_ROW_1, atol=1e-12)
-    a2 = design_pinning(pinning_game, i=2, target=3, value=3, mu=0.1, row=2)
+    a2 = assemble(pinning_game, 2, [(2, LinearRelation.pinning(3, 3, 3), 0.1)])
     np.testing.assert_allclose(a2.rows[1], PINNING_ROW_2, atol=1e-12)
     assert rationality_check(a1).verdict
     assert rationality_check(a2).verdict
 
 
 def test_extortion_rows_reproduce_golden_vectors(extortion_game):
-    a = design_extortion(extortion_game, i=2, reference=1,
-                         targets={1: 1.1, 3: 1.2}, mus={1: 0.05, 3: 0.1},
-                         rows={1: 1, 3: 2})
+    a = assemble(extortion_game, 2, EXTORTION_DESIGN)
     np.testing.assert_allclose(a.rows[0], EXTORTION_ROW_1, atol=1e-12)
     np.testing.assert_allclose(a.rows[1], EXTORTION_ROW_2, atol=1e-12)
     assert rationality_check(a).verdict
@@ -97,12 +91,13 @@ def test_design_scale_covariance(pinning_game):
 
 def test_design_cap(extortion_game):
     with pytest.raises(DomainError):
-        design_extortion(extortion_game, i=1, reference=1,
-                         targets={2: 1.1, 3: 1.2}, mus={2: 0.05, 3: 0.1})
+        assemble(extortion_game, 1, [
+            (1, LinearRelation.extortion(3, 1, 2, factor=1.1, reference=1), 0.05),
+            (2, LinearRelation.extortion(3, 1, 3, factor=1.2, reference=1), 0.1)])
 
 
 def test_rationality_flags_out_of_range(pinning_game):
-    a = design_pinning(pinning_game, i=2, target=1, value=4, mu=0.5, row=1)
+    a = assemble(pinning_game, 2, [(1, LinearRelation.pinning(3, 1, 4), 0.5)])
     report = rationality_check(a)
     assert not report.verdict
     assert report.row_violations
@@ -176,9 +171,7 @@ def test_feasible_mu_interval_grid_oracle(pinning_game):
 
 
 def test_effectiveness_extortion_random_opponents(extortion_game):
-    a = design_extortion(extortion_game, i=2, reference=1,
-                         targets={1: 1.1, 3: 1.2}, mus={1: 0.05, 3: 0.1},
-                         rows={1: 1, 3: 2})
+    a = assemble(extortion_game, 2, EXTORTION_DESIGN)
     rng = np.random.default_rng(22)
     for _ in range(10):
         opponents = {
@@ -236,7 +229,7 @@ def test_multi_designer_compatibility():
         lo, hi = feasible_mu_interval(game, i, 1, rel)
         mu = hi / 2 if hi > -lo else lo / 2
         assert mu != 0.0
-        return design_pinning(game, i=i, target=target, value=0.0, mu=mu, row=1)
+        return assemble(game, i, [(1, rel, mu)])
 
     a1 = pick_design(1, 2)
     a3 = pick_design(3, 1)
@@ -249,9 +242,7 @@ def test_multi_designer_compatibility():
 
 
 def test_assignment_json_roundtrip(extortion_game):
-    a = design_extortion(extortion_game, i=2, reference=1,
-                         targets={1: 1.1, 3: 1.2}, mus={1: 0.05, 3: 0.1},
-                         rows={1: 1, 3: 2})
+    a = assemble(extortion_game, 2, EXTORTION_DESIGN)
     doc = a.to_json()
     b = ZDAssignment.from_json(doc, extortion_game)
     assert b.designer == 2 and [j for j, _, _ in b.relations] == [1, 2]
@@ -262,9 +253,7 @@ def test_assignment_json_roundtrip(extortion_game):
 
 
 def test_undesigned_row_takes_residual_mass(extortion_game):
-    a = design_extortion(extortion_game, i=2, reference=1,
-                         targets={1: 1.1, 3: 1.2}, mus={1: 0.05, 3: 0.1},
-                         rows={1: 1, 3: 2})
+    a = assemble(extortion_game, 2, EXTORTION_DESIGN)
     m = a.rows
     np.testing.assert_allclose(m.sum(axis=0), np.ones(12), atol=1e-12)
     np.testing.assert_allclose(m[2], 1.0 - m[0] - m[1], atol=1e-12)
@@ -298,9 +287,9 @@ def test_assemble_rejects_zero_relation_row():
 def test_effectiveness_irrational_design_not_evaluated(extortion_game):
     # mu far outside the feasible interval: the designed rows leave [0, 1]
     # and L gets negative entries, so it is no Markov chain to analyse
-    a = design_extortion(extortion_game, i=2, reference=1,
-                         targets={1: 1.1, 3: 1.2}, mus={1: 2.0, 3: 3.0},
-                         rows={1: 1, 3: 2})
+    a = assemble(extortion_game, 2, [
+        (1, LinearRelation.extortion(3, 2, 1, factor=1.1, reference=1), 2.0),
+        (2, LinearRelation.extortion(3, 2, 3, factor=1.2, reference=1), 3.0)])
     assert a.rows.min() < 0
     rng = np.random.default_rng(24)
     opponents = {1: random_interior_rule(rng, 1, 2, 12),
@@ -314,9 +303,7 @@ def test_effectiveness_irrational_design_not_evaluated(extortion_game):
 
 
 def test_effectiveness_reports_stationary_residual(extortion_game):
-    a = design_extortion(extortion_game, i=2, reference=1,
-                         targets={1: 1.1, 3: 1.2}, mus={1: 0.05, 3: 0.1},
-                         rows={1: 1, 3: 2})
+    a = assemble(extortion_game, 2, EXTORTION_DESIGN)
     rng = np.random.default_rng(25)
     opponents = {1: random_interior_rule(rng, 1, 2, 12),
                  3: random_interior_rule(rng, 3, 2, 12)}

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from zdkit import AnalysisError, ValidationError, analyze, build_pee, build_rule
-from zdkit.errors import CapacityError
 from zdkit.markov import (
     is_primitive,
     nullspace_stationary,
@@ -11,7 +10,7 @@ from zdkit.markov import (
     stationary_distribution,
 )
 from conftest import random_interior_rule, random_stochastic
-from oracles import adjugate, power_iteration_stationary
+from oracles import CapacityError, adjugate, power_iteration_stationary
 
 
 def pd_rules(p, q):

@@ -28,15 +28,10 @@ from zdkit import (
     assemble,
     build_pee,
     build_rule,
-    design_extortion,
     reduce_to_fop,
 )
 from zdkit.cli import DEFAULT_SEED, _random_interior_rule, parse_relation_spec
-from zdkit.design import (
-    design_pinning,
-    design_row,
-    feasible_mu_interval,
-)
+from zdkit.design import design_row, feasible_mu_interval
 from zdkit.markov import (
     chain_structure,
     is_primitive,
@@ -46,6 +41,7 @@ from zdkit.markov import (
     solve_stationary,
 )
 from conftest import (
+    EXTORTION_DESIGN,
     EXTORTION_PAYOFFS,
     random_interior_rule,
     random_stochastic,
@@ -126,11 +122,6 @@ def _repeat_designer():
                         relations=((1, rel, 0.5),))
 
 
-def _extortion(game):
-    return design_extortion(game, i=2, reference=1.0, targets={1: 1.1, 3: 1.2},
-                            mus={1: 0.05, 3: 0.1}, rows={1: 1, 3: 2})
-
-
 def existing_test_chains():
     chains = {}
     cycle3 = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
@@ -172,8 +163,9 @@ def existing_test_chains():
 
     # test_design
     ext_game = GameSpec(k=(2, 3, 2), payoffs=EXTORTION_PAYOFFS)
+    ext = assemble(ext_game, 2, EXTORTION_DESIGN)
     chains["design.extortion"] = _designed_chains(
-        ext_game, _extortion(ext_game), np.random.default_rng(22), (1, 3), 10)
+        ext_game, ext, np.random.default_rng(22), (1, 3), 10)
     repeat = _repeat_designer()
     switch = build_rule(2, [[0, 1, 0, 1], [1, 0, 1, 0]])
     uniform = build_rule(2, np.full((2, 4), 0.5))
@@ -199,7 +191,7 @@ def existing_test_chains():
     chains["acceptance.05"] = [pd_rules(rng.random(4), rng.random(4))
                                for _ in range(50)]
     chains["acceptance.06"] = _designed_chains(
-        ext_game, _extortion(ext_game), np.random.default_rng(106), (1, 3), 50)
+        ext_game, ext, np.random.default_rng(106), (1, 3), 50)
     rng = np.random.default_rng(108)
     drawn = []
     for n in (4, 6):
@@ -216,7 +208,7 @@ def existing_test_chains():
         fop.game, pin_a, np.random.default_rng(109), (2,), 20)
     rng = np.random.default_rng(288)
     chains["acceptance.10"] = [[_sharp_interior_rule(rng, 1, 2, 12),
-                                _extortion(ext_game).as_rule(),
+                                ext.as_rule(),
                                 _sharp_interior_rule(rng, 3, 2, 12)]]
 
     # test_montecarlo
@@ -226,14 +218,12 @@ def existing_test_chains():
 
     # test_network
     lo, hi = feasible_mu_interval(fop.game, 1, 1, rel)
-    fop_pin = design_pinning(fop.game, i=1, target=2, value=2.0,
-                             mu=hi / 2 if hi > -lo else lo / 2)
+    fop_pin = assemble(fop.game, 1, [(1, rel, hi / 2 if hi > -lo else lo / 2)])
     chains["network.fop_pinning"] = _designed_chains(
         fop.game, fop_pin, np.random.default_rng(30), (2,), 5)
 
     # test_cli: verify --random-opponents 5 --seed 3 draws opponents this way
     rng = np.random.default_rng(3)
-    ext = _extortion(ext_game)
     chains["cli.verify"] = []
     for _ in range(5):
         opp = {p: _random_interior_rule(rng, p, ext_game.k[p - 1], 12)
@@ -266,8 +256,7 @@ def _multi_designer_chains():
     def pick(i, target):
         rel = LinearRelation.pinning(3, target, 0.0)
         lo, hi = feasible_mu_interval(game, i, 1, rel)
-        return design_pinning(game, i=i, target=target, value=0.0,
-                              mu=hi / 2 if hi > -lo else lo / 2, row=1)
+        return assemble(game, i, [(1, rel, hi / 2 if hi > -lo else lo / 2)])
 
     a1, a3 = pick(1, 2), pick(3, 1)
     middle = random_interior_rule(rng, 2, 3, 12)
@@ -376,8 +365,9 @@ def test_cycle_period_and_known_witness():
 
 def test_irrational_chain_rejected_by_both_routes():
     game = GameSpec(k=(2, 3, 2), payoffs=EXTORTION_PAYOFFS)
-    wild = design_extortion(game, i=2, reference=1.0, targets={1: 1.1, 3: 1.2},
-                            mus={1: 2.0, 3: 3.0}, rows={1: 1, 3: 2})
+    wild = assemble(game, 2, [
+        (1, LinearRelation.extortion(3, 2, 1, factor=1.1, reference=1.0), 2.0),
+        (2, LinearRelation.extortion(3, 2, 3, factor=1.2, reference=1.0), 3.0)])
     rng = np.random.default_rng(60)
     (rules,) = _designed_chains(game, wild, rng, (1, 3), 1)
     L = build_pee(rules)

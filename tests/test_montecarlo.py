@@ -10,14 +10,14 @@ from zdkit import (
     ValidationError,
     build_pee,
     build_rule,
+    assemble,
     compare_empirical_vs_exact,
-    design_extortion,
     simulate,
 )
 from zdkit.markov import nullspace_stationary
 from zdkit import montecarlo
 from zdkit.montecarlo import DRAW_CHUNK, guide_table
-from conftest import EXTORTION_PAYOFFS, random_stochastic
+from conftest import EXTORTION_DESIGN, EXTORTION_PAYOFFS, random_stochastic
 from test_acceptance import _sharp_interior_rule
 
 
@@ -223,9 +223,7 @@ def test_acceptance_chain_trajectory_digest():
     # the acceptance-10 run; digest taken from the per-step searchsorted walk,
     # so any change to the draw stream or to the walk fails here
     game = GameSpec(k=(2, 3, 2), payoffs=EXTORTION_PAYOFFS)
-    assignment = design_extortion(game, i=2, reference=1.0,
-                                  targets={1: 1.1, 3: 1.2},
-                                  mus={1: 0.05, 3: 0.1}, rows={1: 1, 3: 2})
+    assignment = assemble(game, 2, EXTORTION_DESIGN)
     rng = np.random.default_rng(288)
     opponents = {1: _sharp_interior_rule(rng, 1, 2, 12),
                  3: _sharp_interior_rule(rng, 3, 2, 12)}

@@ -8,12 +8,12 @@ from zdkit import (
     DomainError,
     NetworkGame,
     ValidationError,
-    design_extortion,
+    assemble,
     rationality_check,
     reduce_to_fop,
     verify_effectiveness,
 )
-from zdkit.design import LinearRelation, design_pinning, feasible_mu_interval
+from zdkit.design import LinearRelation, feasible_mu_interval
 from zdkit.network import opponent_strategy_set
 from conftest import random_interior_rule
 
@@ -115,7 +115,7 @@ def test_fop_pinning_rational_and_effective():
     lo, hi = feasible_mu_interval(fop.game, 1, 1, rel)
     mu = hi / 2 if hi > -lo else lo / 2
     assert mu != 0.0
-    assignment = design_pinning(fop.game, i=1, target=2, value=2.0, mu=mu)
+    assignment = assemble(fop.game, 1, [(1, rel, mu)])
     assert rationality_check(assignment).verdict
     rng = np.random.default_rng(30)
     for _ in range(5):
@@ -127,8 +127,9 @@ def test_fop_pinning_rational_and_effective():
 
 def test_fop_extortion_design_shape():
     fop = reduce_to_fop(fig1_network(), "B")
-    assignment = design_extortion(fop.game, i=1, reference=P, targets={2: 1.5},
-                                  mus={2: 0.01}, rows={2: 1})
+    rel = LinearRelation.extortion(2, designer=1, target=2, factor=1.5,
+                                   reference=P)
+    assignment = assemble(fop.game, 1, [(1, rel, 0.01)])
     assert assignment.kappa == 8
     assert assignment.relations[0][1].coeffs == (1.0, -1.5)
 
@@ -138,7 +139,7 @@ def test_fop_mu_outside_interval_fails_rationality():
     rel = LinearRelation.pinning(2, target=2, value=2.0)
     lo, hi = feasible_mu_interval(fop.game, 1, 1, rel)
     mu = (hi if hi > -lo else lo) * 3  # well outside
-    assignment = design_pinning(fop.game, i=1, target=2, value=2.0, mu=mu)
+    assignment = assemble(fop.game, 1, [(1, rel, mu)])
     assert not rationality_check(assignment).verdict
 
 
