@@ -77,6 +77,13 @@ def _positive(text: str) -> float:
     return float(text)
 
 
+def _seed(text: str) -> int:
+    """The argparse type of --seed: an integer >= 0, as numpy's generators take."""
+    if int(text) < 0:  # argparse reports a ValueError too
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return int(text)
+
+
 def parse_relation_spec(spec: str, game: GameSpec, designer: int):
     """Parse one --relation string into (row_index, LinearRelation, mu).
 
@@ -203,6 +210,8 @@ def _random_trials(seed, game: GameSpec, designer: int, count: int) -> list:
     """count draws of a random interior rule for every other player."""
     if count < 0:
         raise ValidationError(f"--random-opponents must be >= 0, got {count}")
+    if count == 0:
+        return []
     rng = np.random.default_rng(seed)
     return [{p: _random_interior_rule(rng, p, game.k[p - 1], game.kappa)
              for p in range(1, game.n + 1) if p != designer}
@@ -213,13 +222,30 @@ def _emit(doc: dict, out, pretty: bool, end: str = "\n"):
     """Write doc as JSON to the file out, or print it; every output goes
     through here.  end follows the text in a file (neg's files have none)."""
     # allow_nan=False: a NaN or infinity would make the output invalid JSON
-    text = json.dumps(doc, indent=2, allow_nan=False)
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValidationError(f"report field {_first_non_finite(doc)} is not "
+                              "a finite number, which JSON cannot hold") from None
     if out:
         write_text(out, text + end)
     else:
         print(text)
     if pretty:
         _render_table(doc)
+
+
+def _first_non_finite(value, path: str = ""):
+    """The path of the first NaN or infinity in a report, such as
+    payoff_gaps[0] or reports[1].residuals[0]; None when it holds none."""
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return path if isinstance(value, float) and not np.isfinite(value) else None
+    return next(filter(None, (_first_non_finite(v, where) for where, v in items)),
+                None)
 
 
 def _render_table(doc: dict, indent: str = ""):
@@ -376,7 +402,7 @@ def make_parser() -> argparse.ArgumentParser:
     given.add_argument("--opponents", help="JSON file with opponents' rule matrices")
     given.add_argument("--random-opponents", type=int,
                        help="verify against N random interior opponents")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--tol", type=_positive, default=RESIDUAL_TOL,
                    help="residual tolerance for effectiveness")
     common(p)
@@ -398,7 +424,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=int, default=1)
     p.add_argument("--z", type=_positive, default=4.0,
                    help="z-score threshold for the empirical-vs-exact check")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -409,7 +435,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="relation specs on the reduced 2-player game "
                         "(opponent is player 2)")
     p.add_argument("--random-opponents", type=int, default=20)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--tol", type=_positive, default=RESIDUAL_TOL,
                    help="residual tolerance for effectiveness")
     common(p)

@@ -10,14 +10,16 @@ In that order player i's strategy is the digit (s // kappa_upper[i]) % k_i
 of the 0-based profile index s, so the profile sets phi(i, j) and their
 indicator rows xi(i, j) are computed with array arithmetic, never by
 decoding profiles one at a time.  A GameSpec builds its ProfileIndexer once.
-Every input file is read by load_json, which names the file in any error;
-the readers check the decoded documents with json_fields, numeric_table and
+Every input file is read by load_json, which names the file in any error
+and pauses the cyclic garbage collector while it decodes and parses; the
+readers check the decoded documents with json_fields, numeric_table and
 exact `type(v) is int` tests.  Every output file is written by write_text,
 which rewrites an existing file in place and never fsyncs.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import stat
@@ -97,11 +99,19 @@ def load_json(path, parse, *args):
     malformed or non-UTF-8 file, a repeated key in one object, and any
     ZDKitError parse raises, become a ValidationError that starts with the
     path.
+
+    The cyclic garbage collector is paused while the file is decoded and
+    parsed, and put back as the caller had it, also on error.  A decoded
+    document holds no reference cycle, yet a network file's thousands of
+    edge lists would trigger several collector passes that walk them all.
+    The document goes straight into parse, so it is freed before the
+    collector is back on and the next allocation does not walk it either.
     """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path) as fh:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
-        return parse(doc, *args)
+            return parse(json.load(fh, object_pairs_hook=_unique_keys), *args)
     except OSError as exc:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -110,6 +120,9 @@ def load_json(path, parse, *args):
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     except ZDKitError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def write_text(path, text: str):

@@ -104,26 +104,36 @@ class NetworkGame:
             doc, ("nodes", "edges", "base_game"), "network file")
         if not isinstance(nodes, list) or not isinstance(edges, list):
             raise ValidationError("network fields 'nodes' and 'edges' must be lists")
-        if not set(map(type, nodes)) <= _NODE_TYPES:
+        node_types = set(map(type, nodes))
+        if not node_types <= _NODE_TYPES:
             bad = next(v for v in nodes if type(v) not in _NODE_TYPES)
             raise ValidationError(f"node id {bad!r} is not a string or an integer")
         if not set(map(type, edges)) <= {list}:
             bad = next(e for e in edges if type(e) is not list)
             raise ValidationError(f"edge {bad!r} is not a pair of nodes")
-        if not set(map(type, chain.from_iterable(edges))) <= _NODE_TYPES:
-            bad = next(e for e in edges if not set(map(type, e)) <= _NODE_TYPES)
-            raise ValidationError(
-                f"edge {bad!r} has an end that is not a string or an integer")
-        if not isinstance(base, dict) or "payoff_bimatrix" not in base:
-            raise ValidationError(
-                "network file missing required field 'base_game.payoff_bimatrix'")
-        m = numeric_table(base["payoff_bimatrix"], "base_game.payoff_bimatrix")
-        if "k" in base and base["k"] != m.shape[0]:
-            raise ValidationError(
-                f"base_game.k = {base['k']!r} but payoff matrix is "
-                f"{m.shape[0]}x{m.shape[1]}"
-            )
-        return cls(nodes=tuple(nodes), edges=edges, base_payoff=m)
+        # With string ids alone, the lookup of each end in `position` refuses
+        # any end that is not a string, so the end types are checked only
+        # once something has failed.  An integer id would match a true or 2.0
+        # end, so with one the check runs first.
+        ends_checked = not node_types <= {str}
+        if ends_checked:
+            _check_end_types(edges)
+        try:
+            if not isinstance(base, dict) or "payoff_bimatrix" not in base:
+                raise ValidationError(
+                    "network file missing required field 'base_game.payoff_bimatrix'")
+            m = numeric_table(base["payoff_bimatrix"], "base_game.payoff_bimatrix")
+            if "k" in base and base["k"] != m.shape[0]:
+                raise ValidationError(
+                    f"base_game.k = {base['k']!r} but payoff matrix is "
+                    f"{m.shape[0]}x{m.shape[1]}"
+                )
+            return cls(nodes=tuple(nodes), edges=edges, base_payoff=m)
+        except Exception:
+            # the end-type message wins over any later error, MemoryError too
+            if not ends_checked:
+                _check_end_types(edges)
+            raise
 
     @classmethod
     def load(cls, path) -> "NetworkGame":
@@ -139,6 +149,14 @@ def _edges(net: NetworkGame) -> tuple:
 # Set after the class body: a property there would become the default of the
 # `edges` init argument.
 NetworkGame.edges = property(_edges)
+
+
+def _check_end_types(edges):
+    """Refuse an edge end that is not a string or an integer."""
+    if not set(map(type, chain.from_iterable(edges))) <= _NODE_TYPES:
+        bad = next(e for e in edges if not set(map(type, e)) <= _NODE_TYPES)
+        raise ValidationError(
+            f"edge {bad!r} has an end that is not a string or an integer")
 
 
 def _first_bad_edge(position: dict, edges) -> str:

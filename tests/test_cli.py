@@ -421,6 +421,17 @@ def _bad_network(case):
         # true and 2.0 equal the node ids 1 and 2 but are not ids themselves
         doc["nodes"] = [1, 2, 3]
         doc["edges"] = [[1, 2], [2.0, 3]] if case == "edge_end_float" else [[True, 2]]
+    elif case.startswith("str_ids_"):
+        # with string ids the end types are checked only once loading fails;
+        # the type message must still win over any other fault
+        doc["edges"] = {"str_ids_end_true": [["a", "b"], ["b", True]],
+                        "str_ids_end_null": [["a", None]],
+                        "str_ids_end_float": [["a", "b"], [1.5, "c"]],
+                        "str_ids_end_list": [["a", ["v0"]]],
+                        "str_ids_end_after_self_loop": [["a", "a"], ["b", True]],
+                        "str_ids_end_and_bad_base": [["a", None]]}[case]
+        if case == "str_ids_end_and_bad_base":
+            del doc["base_game"]["payoff_bimatrix"]
     return json.dumps(doc)
 
 
@@ -435,6 +446,15 @@ BAD_NETWORK = {
     "duplicate_node": "duplicate node 'a'",
     "edge_end_bool": "edge [True, 2] has an end that is not a string or an integer",
     "edge_end_float": "edge [2.0, 3] has an end that is not a string or an integer",
+    "str_ids_end_true": "edge ['b', True] has an end that is not a string or an integer",
+    "str_ids_end_null": "edge ['a', None] has an end that is not a string or an integer",
+    "str_ids_end_float": "edge [1.5, 'c'] has an end that is not a string or an integer",
+    "str_ids_end_list":
+        "edge ['a', ['v0']] has an end that is not a string or an integer",
+    "str_ids_end_after_self_loop":
+        "edge ['b', True] has an end that is not a string or an integer",
+    "str_ids_end_and_bad_base":
+        "edge ['a', None] has an end that is not a string or an integer",
 }
 
 
@@ -667,6 +687,15 @@ CLEAN_EXITS = {
     "reduction_overflow": (
         "neg", ["--network", "{tmp}/overflow_net.json"],
         "overflow_net.json: node 'B' of degree 3: reduced payoffs overflow"),
+    # player 1's empirical payoff minus its exact one overflows to inf
+    "report_overflow": (
+        "simulate", ["--game", "{tmp}/huge_game.json", "--steps", "1", "--seed", "3"],
+        "report field payoff_gaps[0] is not a finite number"),
+    # numpy's generators take no negative seed
+    "verify_negative_seed": ("verify", ["--random-opponents", "1", "--seed", "-1"],
+                             "argument --seed: '-1'"),
+    "simulate_negative_seed": ("simulate", ["--seed", "-1"], "argument --seed: '-1'"),
+    "neg_negative_seed": ("neg", ["--seed", "-1"], "argument --seed: '-1'"),
 }
 
 
@@ -682,6 +711,9 @@ def test_bad_value_exits_two_without_traceback_or_warning(tmp_path, network_file
         doc = json.load(fh)
     doc["base_game"]["payoff_bimatrix"] = [[1e308, 0], [5, 1]]
     (tmp_path / "overflow_net.json").write_text(json.dumps(doc))
+    huge = GameSpec(k=(2, 2), payoffs=[[1.7e308, -1.7e308, -1.7e308, -1.7e308],
+                                       PD_GAME[1]])
+    save_game(huge, tmp_path / "huge_game.json")
     extra = [arg.format(tmp=tmp_path) for arg in extra]
     rules = tmp_path / "rules.json"
     rules.write_text(json.dumps({"rules": {"2": [[0.5] * 4] * 2}}))

@@ -1,4 +1,5 @@
 import ast
+import gc
 import itertools
 import json
 import pathlib
@@ -231,6 +232,40 @@ def test_numeric_table_accepts_ints_and_floats():
     m = numeric_table([[1, 0.5], [np.float64(2.0), 3]], "where")
     assert m.dtype == np.float64
     np.testing.assert_array_equal(m, [[1, 0.5], [2, 3]])
+
+
+# ---------------------------------------------------------------------------
+# load_json pauses the cyclic collector and puts the caller's state back
+
+LOADS = {  # file bytes (None: no file) -> what the error names (None: loads)
+    "good": (b'{"players": 2, "strategy_counts": [2, 2], '
+             b'"payoffs": [[1, 2, 3, 4], [4, 3, 2, 1]]}', None),
+    "missing_file": (None, "cannot open"),
+    "bad_json": (b'{"players": 2', "line 1"),
+    "not_utf8": (b'{"players": "\xff"}', "not UTF-8"),
+    "repeated_key": (b'{"players": 2, "players": 2}', "'players' is repeated"),
+    "parse_error": (b'{"players": 2}', "missing required field"),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case", list(LOADS))
+def test_load_json_leaves_the_collector_as_it_found_it(tmp_path, case, enabled):
+    data, named = LOADS[case]
+    path = tmp_path / "game.json"
+    if data is not None:
+        path.write_bytes(data)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if named is None:
+            assert GameSpec.load(path).k == (2, 2)
+        else:
+            with pytest.raises(ValidationError, match=named):
+                GameSpec.load(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 # ---------------------------------------------------------------------------

@@ -344,3 +344,35 @@ def test_large_ring_loads_in_linear_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert again.edges == net.edges and kept < 150 * len(doc["edges"])
+
+
+def test_loading_a_network_runs_no_collector_pass(tmp_path):
+    # a decoded document holds no reference cycle, yet its 4,000 edge lists
+    # would set off several cyclic-collector passes that walk them all
+    import gc
+    import json
+
+    n = 2000
+    ids = [f"v{i}" for i in range(n)]
+    doc = {"nodes": ids,
+           "edges": [[ids[i], ids[(i + s) % n]] for s in (1, 2) for i in range(n)],
+           "base_game": {"k": 2, "payoff_bimatrix": PD.tolist()}}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        net = NetworkGame.load(path)
+    finally:
+        gc.callbacks.remove(count)
+        if not was:
+            gc.disable()
+    assert net.ends.shape == (2 * n, 2) and passes == []
