@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from math import prod
 
 import numpy as np
 
@@ -171,33 +172,39 @@ def _read_rules(doc, game: GameSpec | None, players) -> dict:
     """Rule arrays by player from a decoded rules file ({"rules": {player: rows}}).
 
     Keys must be plain player numbers ("2", not "02" or "+2") and entries
-    finite numbers.  Each player must be in 1..n, where n is the game's
-    player count, or with no game the number of rules; with a game each
-    rule must be (k_p, kappa).  Every player in `players` must have a rule.
+    finite numbers.  Player p is in 1..n and its rule is (k_p, prod(k)): n
+    and k are the game's, or with no game the number of rules and their row
+    counts.  Every player in `players` must have a rule.
     """
     rules, = json_fields(doc, ("rules",), "rules file")
     if not isinstance(rules, dict):
         raise ValidationError("field 'rules' must hold a JSON object")
     n = len(rules) if game is None else game.n
-    out = {}
+    tables = {}
     for key, matrix in rules.items():
         if not (key.isdecimal() and key == str(int(key))):
             raise ValidationError(f"rules key {key!r} is not a player number")
         p = int(key)
         if not 1 <= p <= n:
             raise ValidationError(f"player {p} outside 1..{n}")
-        m = numeric_table(matrix, f"rule of player {p}")
-        if game is not None:
-            expected = (game.k[p - 1], game.kappa)
-            if m.shape != expected:
-                raise ValidationError(
-                    f"rule of player {p} has shape {m.shape}, "
-                    f"expected {expected} (strategies x profiles)")
-        out[p] = build_rule(p, m)
-    missing = [p for p in players if p not in out]
+        tables[p] = numeric_table(matrix, f"rule of player {p}")
+    k = game.k if game is not None else [len(tables[p]) for p in range(1, n + 1)]
+    for p, m in tables.items():
+        if m.shape != (expected := (k[p - 1], prod(k))):
+            raise ValidationError(
+                f"rule of player {p} has shape {m.shape}, "
+                f"expected {expected} (strategies x profiles)")
+        tables[p] = build_rule(p, m)
+    missing = [p for p in players if p not in tables]
     if missing:
         raise ValidationError(f"no rule given for players {missing}")
-    return out
+    return tables
+
+
+def _read_designed_rule(doc, game: GameSpec) -> dict:
+    """{designer: rule} of an assignment file; an irrational rule is refused."""
+    assignment = ZDAssignment.from_json(doc, game)
+    return {assignment.designer: build_rule(assignment.designer, assignment.as_rule())}
 
 
 def _random_interior_rule(rng, player: int, k: int, kappa: int):
@@ -218,9 +225,9 @@ def _random_trials(seed, game: GameSpec, designer: int, count: int) -> list:
             for _ in range(count)]
 
 
-def _emit(doc: dict, out, pretty: bool, end: str = "\n"):
-    """Write doc as JSON to the file out, or print it; every output goes
-    through here.  end follows the text in a file (neg's files have none)."""
+def _emit(doc: dict, out, pretty: bool):
+    """Write doc as JSON, ending in a newline, to the file out, or print it;
+    every output goes through here."""
     # allow_nan=False: a NaN or infinity would make the output invalid JSON
     try:
         text = json.dumps(doc, indent=2, allow_nan=False)
@@ -228,7 +235,7 @@ def _emit(doc: dict, out, pretty: bool, end: str = "\n"):
         raise ValidationError(f"report field {_first_non_finite(doc)} is not "
                               "a finite number, which JSON cannot hold") from None
     if out:
-        write_text(out, text + end)
+        write_text(out, text + "\n")
     else:
         print(text)
     if pretty:
@@ -309,7 +316,8 @@ def cmd_analyze(args) -> int:
         L = load_json(args.matrix, _read_matrix)
     else:
         game = GameSpec.load(args.game) if args.game is not None else None
-        players = range(1, game.n + 1) if game is not None else ()
+        # with no game the players are 1..n, so a file holds player 1's rule
+        players = range(1, game.n + 1) if game is not None else (1,)
         rules = load_json(args.rules, _read_rules, game, players)
         L = build_pee([rules[p] for p in sorted(rules)])
     report = analyze(L)
@@ -319,10 +327,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     game = GameSpec.load(args.game)
-    designed = {}
-    if args.assignment:
-        assignment = load_json(args.assignment, ZDAssignment.from_json, game)
-        designed = {assignment.designer: assignment.as_rule()}
+    designed = (load_json(args.assignment, _read_designed_rule, game)
+                if args.assignment else {})
     others = [p for p in range(1, game.n + 1) if p not in designed]
     rules = {**load_json(args.rules, _read_rules, game, others), **designed}
     L = build_pee([rules[p] for p in sorted(rules)])
@@ -341,8 +347,9 @@ def cmd_neg(args) -> int:
         raise ValidationError("neg writes several artifacts; --out DIR is required")
     net = NetworkGame.load(args.network)
     node = args.node
-    if node not in net.position and node.removeprefix("-").isdecimal():
-        node = int(node)  # an integer id, such as -1
+    if (node not in net.position and node.removeprefix("-").isdecimal()
+            and str(int(node)) == node):
+        node = int(node)  # an integer id spelt as one, such as -1 but not 01
     try:
         fop = reduce_to_fop(net, node)
     except ZDKitError as exc:
@@ -359,7 +366,7 @@ def cmd_neg(args) -> int:
     for name, doc in (("reduced_game.json", game_doc),
                       ("assignment.json", assignment.to_json()),
                       ("report.json", report_doc)):
-        _emit(doc, os.path.join(args.out, name), False, end="")
+        _emit(doc, os.path.join(args.out, name), False)
     if args.pretty:
         _render_table(report_doc)
     all_ok = rationality.verdict and report_doc["all_effective"]

@@ -124,8 +124,7 @@ class ZDAssignment:
         return self.rows.shape[1]
 
     def as_rule(self) -> np.ndarray:
-        # no [0,1] validation here: an irrational design still yields a
-        # column-stochastic-by-sums matrix that verification must handle
+        # unchecked: verify reports an irrational design, simulate refuses it
         return self.rows
 
     def to_json(self) -> dict:
@@ -168,7 +167,7 @@ class ZDAssignment:
         off = np.flatnonzero(np.abs(sums - 1.0) > DEFAULT_TOL)
         if off.size:
             raise ValidationError(
-                f"rows: column {off[0] + 1} sums to {sums[off[0]]:.6g}, not 1")
+                f"rows: column {off[0] + 1} sums to {sums[off[0]]:.10g}, not 1")
         if not isinstance(relations, list):
             raise ValidationError(f"field 'relations' is {relations!r}, not a list")
         triples = []

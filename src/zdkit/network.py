@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from itertools import chain
-from math import comb
 
 import numpy as np
 
@@ -88,10 +87,6 @@ class NetworkGame:
     def k(self) -> int:
         return self.base_payoff.shape[0]
 
-    def degree(self, node) -> int:
-        i = self.position.get(node)
-        return 0 if i is None else int(self.degrees[i])
-
     @classmethod
     def from_json(cls, doc: dict) -> "NetworkGame":
         """Network from a decoded network file.
@@ -115,8 +110,7 @@ class NetworkGame:
         # any end that is not a string, so the end types are checked only
         # once something has failed.  An integer id would match a true or 2.0
         # end, so with one the check runs first.
-        ends_checked = not node_types <= {str}
-        if ends_checked:
+        if not node_types <= {str}:
             _check_end_types(edges)
         try:
             if not isinstance(base, dict) or "payoff_bimatrix" not in base:
@@ -131,8 +125,7 @@ class NetworkGame:
             return cls(nodes=tuple(nodes), edges=edges, base_payoff=m)
         except Exception:
             # the end-type message wins over any later error, MemoryError too
-            if not ends_checked:
-                _check_end_types(edges)
+            _check_end_types(edges)
             raise
 
     @classmethod
@@ -185,11 +178,10 @@ def opponent_strategy_set(k: int, degree: int) -> list:
     """All neighbor-action count vectors for a node of the given degree.
 
     Ordered with the count of strategy 1 decreasing first, then strategy 2,
-    and so on; for k = 2 this gives (d,0), (d-1,1), ..., (0,d).
+    and so on; for k = 2 this gives (d,0), (d-1,1), ..., (0,d).  Degree 0
+    gives the one zero vector.
     """
-    if degree < 1:
-        raise DomainError("degree must be >= 1")
-    if k < 2:
+    if k < 2:  # k <= 0 would recurse forever
         raise DomainError("base game needs k >= 2 strategies")
 
     def rec(remaining, slots):
@@ -200,9 +192,7 @@ def opponent_strategy_set(k: int, degree: int) -> list:
             for rest in rec(remaining - d, slots - 1):
                 yield (d,) + rest
 
-    out = list(rec(degree, k))
-    assert len(out) == comb(degree + k - 1, k - 1)
-    return out
+    return list(rec(degree, k))
 
 
 @dataclass(frozen=True)
@@ -221,9 +211,10 @@ def reduce_to_fop(net: NetworkGame, node) -> FOPGame:
     payoff for (a, counts) is sum_j counts[j] * payoff(a, j); the opponent
     payoff is the total the neighbors collect, sum_j counts[j] * payoff(j, a).
     """
-    if node not in net.position:
+    i = net.position.get(node)
+    if i is None:
         raise DomainError(f"unknown node {node!r}")
-    deg = net.degree(node)
+    deg = int(net.degrees[i])
     if deg < 1:
         raise DomainError(f"node {node!r} has no neighbors")
     k = net.k

@@ -213,6 +213,47 @@ def test_analyze_matrix_not_stochastic_exits_two(tmp_path, capsys):
     assert run(["analyze", "--matrix", str(mat)]) == 2
     err = capsys.readouterr().err
     assert str(mat) in err and "column 1" in err
+    # column 1 sums to 1 + 2e-9, which .6g would print as 1
+    mat.write_text(json.dumps({"matrix": [[0.5 + 2e-9, 0.5], [0.5, 0.5]]}))
+    assert run(["analyze", "--matrix", str(mat)]) == 2
+    err = capsys.readouterr().err
+    assert str(mat) in err and "column 1 (profile 1)" in err
+    assert "(sum 1.000000002, smallest entry 0.5)" in err
+
+
+# each rule's columns sum to 1 + DRIFT, which the rule check takes; the
+# chain's sums are then off by about 2 * DRIFT, more than one rule may be
+DRIFT = 0.9e-9
+
+
+def _drifting_rows(p, kappa=4):
+    return [[p + DRIFT] * kappa, [1 - p] * kappa]
+
+
+def test_product_of_accepted_rules_passes_the_chain_check(tmp_path, capsys):
+    game, assignment = _assignment_file(tmp_path)
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"rules": {"1": _drifting_rows(0.3),
+                                           "2": _drifting_rows(0.6)}}))
+    capsys.readouterr()
+    for argv in (["analyze", "--rules", str(rules)],
+                 ["analyze", "--game", game, "--rules", str(rules)],
+                 ["simulate", "--game", game, "--rules", str(rules),
+                  "--steps", "2000"]):
+        assert run(argv) == 0, capsys.readouterr().err
+    # verify and simulate on an assignment and an opponent with that drift
+    doc = json.loads(assignment.read_text())
+    doc["rows"][1] = [v + DRIFT for v in doc["rows"][1]]
+    assignment.write_text(json.dumps(doc))
+    opponent = tmp_path / "opponent.json"
+    opponent.write_text(json.dumps({"rules": {"2": _drifting_rows(0.6)}}))
+    out = tmp_path / "report.json"
+    assert run(["verify", "--game", game, "--assignment", str(assignment),
+                "--opponents", str(opponent), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["all_effective"]
+    assert run(["simulate", "--game", game, "--rules", str(opponent),
+                "--assignment", str(assignment), "--steps", "2000"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_simulate_command(extortion_game_file, tmp_path):
@@ -380,6 +421,18 @@ def test_analyze_rules_without_game_checks_keys_and_entries(tmp_path, capsys):
     assert str(path) in err and "player 1" in err
 
 
+def test_analyze_rules_without_game_checks_shapes_naming_the_file(tmp_path,
+                                                                  capsys):
+    # k and kappa come from the rules' own row counts and their product
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"rules": {"1": [[0.5] * 2] * 2,
+                                          "2": [[0.5] * 3] * 2}}))
+    assert run(["analyze", "--rules", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "rule of player 1 has shape (2, 2), expected (2, 4)" in err
+
+
 def test_simulate_out_of_memory_exits_two(extortion_game_file, tmp_path,
                                           capsys):
     # 10**14 int64 states need 800 TB, more than the user address space,
@@ -417,6 +470,14 @@ def _bad_network(case):
         del doc["base_game"]["payoff_bimatrix"]
     elif case == "duplicate_node":
         doc["nodes"] = ["a", "b", "a", "c"]
+    elif case == "nodes_not_list":
+        doc["nodes"] = "abc"
+    elif case == "edges_not_list":
+        doc["edges"] = {"a": "b"}
+    elif case == "k_mismatch":
+        doc["base_game"]["k"] = 3
+    elif case == "bimatrix_not_square":
+        doc["base_game"] = {"payoff_bimatrix": [[3, 0, 1], [5, 1, 2]]}
     elif case in ("edge_end_bool", "edge_end_float"):
         # true and 2.0 equal the node ids 1 and 2 but are not ids themselves
         doc["nodes"] = [1, 2, 3]
@@ -444,6 +505,10 @@ BAD_NETWORK = {
     "payoff_numeric_string": "payoff_bimatrix: entry in row 2, column 1",
     "payoff_missing": "base_game.payoff_bimatrix",
     "duplicate_node": "duplicate node 'a'",
+    "nodes_not_list": "network fields 'nodes' and 'edges' must be lists",
+    "edges_not_list": "network fields 'nodes' and 'edges' must be lists",
+    "k_mismatch": "base_game.k = 3 but payoff matrix is 2x2",
+    "bimatrix_not_square": "base payoff must be square (k >= 2), got (2, 3)",
     "edge_end_bool": "edge [True, 2] has an end that is not a string or an integer",
     "edge_end_float": "edge [2.0, 3] has an end that is not a string or an integer",
     "str_ids_end_true": "edge ['b', True] has an end that is not a string or an integer",
@@ -579,6 +644,8 @@ BAD_RELATIONS = {
     "extort_takes_no_value": ("extort:target=2,factor=1.5,r=1,value=2,row=1",
                               "no field 'value'"),
     "lin_takes_no_target": ("lin:coeffs=1:0,target=2,row=1", "no field 'target'"),
+    "extort_self": ("extort:target=1,factor=1.5,r=1,row=1,mu=auto",
+                    "extortion target must differ from the designer"),
 }
 
 # payoffs a case needs instead of PD_GAME: player 2 collects 2 at every
@@ -778,6 +845,10 @@ BAD_ASSIGNMENTS = {
                          "row_index '1' is not an integer"),
     "row_index_bool": (lambda d: d["relations"][0].update(row_index=True),
                        "row_index True is not an integer"),
+    "relations_not_list": (lambda d: d.update(relations={"row_index": 1}),
+                           "field 'relations' is {'row_index': 1}, not a list"),
+    "coeffs_count": (lambda d: d["relations"][0].update(coeffs=[0, 1, 0]),
+                     "relation of row 1 has 3 coefficients for 2 players"),
 }
 
 
@@ -808,6 +879,29 @@ def test_negative_random_opponents_exits_two(network_file, tmp_path, capsys):
     assert "--random-opponents must be >= 0, got -1" in capsys.readouterr().err
 
 
+def test_simulate_refuses_an_irrational_design_by_its_file(tmp_path, capsys):
+    # the design's row 1 has negative entries; simulate refused it only once
+    # the product was built, naming neither the file nor the player
+    game, _ = _assignment_file(tmp_path)
+    path = tmp_path / "irrational.json"
+    assert run(["design", "--game", game, "--player", "1",
+                "--relation", "pin:target=2,value=4,row=1,mu=0.5",
+                "--out", str(path)]) == 1
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"rules": {"2": [[0.5] * 4, [0.5] * 4]}}))
+    capsys.readouterr()
+    assert run(["simulate", "--game", game, "--rules", str(rules),
+                "--assignment", str(path), "--steps", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: player 1 rule: column 2 (profile 2)")
+    # verify reports it as ineffective, with its conditions not evaluated
+    out = tmp_path / "report.json"
+    assert run(["verify", "--game", game, "--assignment", str(path),
+                "--opponents", str(rules), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())["reports"][0]
+    assert report["conditions"] == {"limit": None, "rank": None}
+
+
 def test_simulate_checks_assignment_file(tmp_path, capsys):
     game, path = _assignment_file(tmp_path)
     doc = json.loads(path.read_text())
@@ -831,6 +925,7 @@ BAD_GAME_FIELDS = {
     "players_bool": ({"players": True}, "'players'"),
     "count_string": ({"strategy_counts": ["2", 2]}, "'strategy_counts'"),
     "counts_not_list": ({"strategy_counts": "22"}, "'strategy_counts'"),
+    "players_count": ({"players": 3}, "players = 3 but 2 strategy counts given"),
 }
 
 
@@ -996,9 +1091,23 @@ def test_neg_selects_a_negative_integer_node(tmp_path):
         assert game["focal_node"] == node and game["strategy_counts"] == [2, 2]
 
 
+def test_neg_node_spelt_with_a_leading_zero_is_not_an_integer_id(tmp_path,
+                                                                capsys):
+    # "01" once selected node 1: a --node is an integer id only when it is
+    # spelt as str(int) spells it, as a rules key is
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({**_network_doc(), "nodes": [1, 2, 3],
+                                "edges": [[1, 2], [2, 3]]}))
+    assert run(["neg", "--network", str(path), "--node", "01",
+                "--relation", "pin:target=2,value=2,row=1,mu=auto",
+                "--random-opponents", "0", "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}: unknown node '01'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("keys,named", [(("1", "3"), "player 3 outside 1..2"),
-                                        (("0", "1"), "player 0 outside 1..2")],
-                         ids=["gap", "zero"])
+                                        (("0", "1"), "player 0 outside 1..2"),
+                                        ((), "no rule given for players [1]")],
+                         ids=["gap", "zero", "empty"])
 def test_analyze_rules_without_game_needs_players_one_to_n(tmp_path, capsys,
                                                            keys, named):
     # with no game the keys must be exactly the players 1..len(rules)
@@ -1080,6 +1189,7 @@ def test_neg_files_over_longer_files_equal_fresh_ones(network_file, tmp_path):
     assert run([*argv, str(reused)]) == 0
     for name in names:
         assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+        assert (fresh / name).read_bytes().endswith(b"}\n")
         json.loads((reused / name).read_text())
 
 

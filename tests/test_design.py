@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zdkit import (
+    DimensionError,
     DomainError,
     GameSpec,
     LinearRelation,
@@ -282,6 +283,15 @@ def test_assemble_rejects_zero_relation_row():
     for mu in (None, 0.1):
         with pytest.raises(DomainError, match="row 1 is identically zero"):
             assemble(game, 1, [(1, LinearRelation.pinning(2, 2, 2.0), mu)])
+
+
+def test_effectiveness_refuses_a_rule_with_the_wrong_strategy_count():
+    game = GameSpec(k=(2, 2), payoffs=[[3, 0, 5, 1], [3, 5, 0, 1]])
+    assignment = assemble(game, 1, [(1, LinearRelation.pinning(2, 2, 2.0), None)])
+    opponent = build_rule(2, np.full((3, 4), 1 / 3))
+    with pytest.raises(DimensionError,
+                       match="player 2 rule has 3 strategies, expected 2"):
+        verify_effectiveness(game, assignment, {2: opponent})
 
 
 def test_effectiveness_irrational_design_not_evaluated(extortion_game):

@@ -1,8 +1,21 @@
+import re
+from math import prod
+
 import numpy as np
 import pytest
 
-from zdkit import AnalysisError, ValidationError, analyze, build_pee, build_rule
+from zdkit import (
+    AnalysisError,
+    DimensionError,
+    ValidationError,
+    analyze,
+    build_pee,
+    build_rule,
+    simulate,
+)
 from zdkit.markov import (
+    DEFAULT_TOL,
+    chain_structure,
     is_primitive,
     nullspace_stationary,
     power_limit,
@@ -50,6 +63,52 @@ def test_build_rule_deterministic_and_uniform():
     assert r.shape[0] == 2 and r.shape[1] == 4
     u = build_rule(2, np.full((3, 6), 1 / 3))
     assert np.all(u == 1 / 3)
+
+
+# build_pee's refusals, which the CLI's rules reader makes first: (rules, message)
+BAD_PRODUCTS = {
+    "no_rules": ([], "need at least one rule"),
+    "profile_columns": ([np.full((2, 4), 0.5), np.full((2, 2), 0.5)],
+                        "rule 2 has 2 profile columns, expected 4"),
+    "product_shape": ([np.full((2, 6), 0.5), np.full((2, 6), 0.5)],
+                      "rules yield a (4, 6) matrix; strategy counts do not "
+                      "multiply to the shared profile count 6"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PRODUCTS))
+def test_build_pee_refuses_a_bad_product(case):
+    rules, message = BAD_PRODUCTS[case]
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        build_pee(rules)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("k", [(2,), (2, 2), (2, 3, 2), (2,) * 5, (3, 4, 4)],
+                         ids=str)
+def test_product_of_accepted_rules_passes_the_chain_check(k, sign):
+    # every rule's sums sit just inside DEFAULT_TOL, all off the same way
+    kappa = prod(k)
+    rules = []
+    for p, kp in enumerate(k, start=1):
+        rows = np.full((kp, kappa), 1 / kp)
+        rows[0] += sign * 0.99 * DEFAULT_TOL
+        rules.append(build_rule(p, rows))
+    L = build_pee(rules)
+    assert analyze(L).primitive
+    assert simulate(L, x0=1, steps=50, seed=1).length == 50
+
+
+def test_chain_check_shows_a_deviation_rounding_hides():
+    # a 4-profile chain may be off by 3 DEFAULT_TOL: two rules plus rounding
+    L = np.full((4, 4), 0.25)
+    L[0, 1] += 2.9 * DEFAULT_TOL
+    assert chain_structure(L).primitive
+    L[0, 1] += 1.1 * DEFAULT_TOL
+    with pytest.raises(ValidationError, match=re.escape(
+            "column 2 (profile 2) is not a probability distribution "
+            "(sum 1.000000004, smallest entry 0.25)")):
+        chain_structure(L)
 
 
 def test_build_pee_matches_pd_formula():

@@ -87,6 +87,13 @@ def test_compare_flags_wrong_distribution():
     assert not compare_empirical_vs_exact(traj, wrong, z=4.0)["pass"]
 
 
+def test_compare_refuses_a_distribution_of_another_length():
+    traj = simulate(np.full((2, 2), 0.5), x0=1, steps=10, seed=1)
+    with pytest.raises(DomainError, match="exact distribution has 3 entries, "
+                                          "trajectory has 2"):
+        compare_empirical_vs_exact(traj, [0.2, 0.3, 0.5], z=4.0)
+
+
 def test_compare_reports_payoff_gaps():
     rng = np.random.default_rng(45)
     L = random_stochastic(rng, 4)

@@ -35,11 +35,12 @@ def test_opponent_strategy_set_sizes_and_order():
     assert opponent_strategy_set(2, 2) == [(2, 0), (1, 1), (0, 2)]
     assert opponent_strategy_set(2, 3) == [(3, 0), (2, 1), (1, 2), (0, 3)]
     assert opponent_strategy_set(2, 1) == [(1, 0), (0, 1)]
+    assert opponent_strategy_set(3, 0) == [(0, 0, 0)]
 
 
 def test_opponent_strategy_set_counting():
     for k in range(2, 5):
-        for deg in range(1, 7):
+        for deg in range(7):
             out = opponent_strategy_set(k, deg)
             assert len(out) == comb(deg + k - 1, k - 1)
             assert len(set(out)) == len(out)
@@ -247,8 +248,9 @@ def test_indexed_network_matches_scan_references(seed, k, str_ids, int_payoffs):
     net = NetworkGame(nodes=nodes, edges=edges, base_payoff=pay)
     assert net.edges == edges
     for node in nodes:
-        assert net.degree(node) == len(scan_neighbors(net, node))
-        if net.degree(node) == 0:
+        degree = net.degrees[net.position[node]]
+        assert degree == len(scan_neighbors(net, node))
+        if degree == 0:
             continue
         got = reduce_to_fop(net, node).game.payoffs
         want = loop_reduce_payoffs(net, node)
@@ -305,7 +307,7 @@ def test_network_errors_match_scan_reference(seed):
     # no edges at all: every node loads isolated and cannot be reduced
     net = NetworkGame(nodes=nodes, edges=(), base_payoff=PD)
     assert net.edges == () and net.ends.shape == (0, 2)
-    assert all(net.degree(node) == 0 for node in nodes)
+    assert all(net.degrees[net.position[node]] == 0 for node in nodes)
     with pytest.raises(DomainError, match="has no neighbors"):
         reduce_to_fop(net, nodes[0])
 
@@ -332,7 +334,7 @@ def test_large_ring_loads_in_linear_time(tmp_path):
     net = NetworkGame.load(path)
     assert time.perf_counter() - start < 1.0
     start = time.perf_counter()
-    assert all(net.degree(v) == 2 for v in ids)
+    assert all(net.degrees[net.position[v]] == 2 for v in ids)
     assert time.perf_counter() - start < 1.0
     # what loading keeps is the position dict and the end and degree
     # arrays; a dict per node or a tuple per edge would double it
