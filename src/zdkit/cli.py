@@ -165,7 +165,8 @@ def _read_matrix(doc) -> np.ndarray:
     L = numeric_table(doc, "matrix")
     if L.shape[0] != L.shape[1]:
         raise ValidationError("'matrix' must be a square table of numbers")
-    return check_stochastic(L, "matrix")
+    check_stochastic(L, "matrix")
+    return L
 
 
 def _read_rules(doc, game: GameSpec | None, players) -> dict:

@@ -109,25 +109,26 @@ def nullspace_stationary(L) -> np.ndarray:
     return u / total
 
 
-def check_stochastic(L, source: str = "L", chain: bool = False) -> np.ndarray:
-    """The table L as floats, or ValidationError naming its first bad column.
+def check_stochastic(L, source: str = "L") -> float:
+    """Largest |column sum - 1| of table L; ValidationError on a bad column.
 
     Every entry must be >= -POSITIVITY_TOL and every column must sum to 1
-    within DEFAULT_TOL; NaN fails both.  A chain (chain=True) is a product
-    of at most log2 kappa rules (every k >= 2), so its sums may be off by
-    DEFAULT_TOL per factor, and one more.  source names the table in the
-    message, e.g. "player 2 rule".
+    within DEFAULT_TOL; NaN fails both.  A square table is a chain, a
+    product of at most log2 kappa rules (every k >= 2), so its sums may be
+    off by DEFAULT_TOL per factor, and one more.  source names the table
+    in the message, e.g. "player 2 rule".
     """
     m = np.asarray(L, dtype=float)
     sums = m.sum(axis=0)
-    tol = DEFAULT_TOL * (m.shape[0].bit_length() if chain else 1)
-    bad = ~(m >= -POSITIVITY_TOL).all(axis=0) | ~(np.abs(sums - 1.0) <= tol)
+    drift = np.abs(sums - 1.0)
+    tol = DEFAULT_TOL * (len(m).bit_length() if m.shape == m.shape[::-1] else 1)
+    bad = ~(m >= -POSITIVITY_TOL).all(axis=0) | ~(drift <= tol)
     if bad.any():
         c = int(np.argmax(bad))
         raise ValidationError(
             f"{source}: column {c + 1} (profile {c + 1}) is not a probability "
             f"distribution (sum {sums[c]:.10g}, smallest entry {m[:, c].min():.6g})")
-    return m
+    return float(drift.max(initial=0.0))
 
 
 def _bool_product(a, b) -> np.ndarray:
@@ -182,6 +183,7 @@ class ChainStructure:
     classes: tuple  # closed communicating classes, 0-based profile arrays
     periods: tuple  # one per closed class
     witness: int | None  # least s with L^s > 0; None when not primitive
+    drift: float = 0.0  # largest |column sum - 1| of L
     stationary: np.ndarray | None = None
     stationary_residual: float | None = None
 
@@ -222,12 +224,13 @@ def chain_structure(L) -> ChainStructure:
     Exact: no float tolerance beyond POSITIVITY_TOL for the pattern itself.
     Raises ValidationError when L is not column-stochastic.
     """
-    m = check_stochastic(_matrix_of(L), chain=True)
+    m = _matrix_of(L)
+    drift = check_stochastic(m)
     kappa = m.shape[0]
     step = m > POSITIVITY_TOL  # step[i, j]: one move goes from j to i
     if step.all():
         return ChainStructure(classes=(np.arange(kappa),), periods=(1,),
-                              witness=1)
+                              witness=1, drift=drift)
     # reach[i, j]: j reaches i; squaring doubles the path length covered
     reach = (step | np.eye(kappa, dtype=bool)).astype(np.float32)
     while not ((wider := _bool_product(reach, reach)) == reach).all():
@@ -247,7 +250,7 @@ def chain_structure(L) -> ChainStructure:
     if len(classes) == 1 and len(classes[0]) == kappa and periods[0] == 1:
         witness = _least_positive_power(step)
     return ChainStructure(classes=tuple(classes), periods=periods,
-                          witness=witness)
+                          witness=witness, drift=drift)
 
 
 def solve_stationary(L):
@@ -318,14 +321,13 @@ def analyze(L) -> ChainStructure:
     and that solve's residual when L is primitive.
 
     Raises AnalysisError when the primitive chain's solve gives a vector
-    that is not positive, or a residual over STATIONARY_TOL + max |col sum - 1|.
+    that is not positive, or a residual over STATIONARY_TOL + chain.drift.
     """
     chain = chain_structure(L)
     if not chain.primitive:
         return chain
     u, residual = solve_stationary(L)
-    drift = np.max(np.abs(np.sum(L, axis=0) - 1.0))
-    if np.min(u) <= 0 or residual > STATIONARY_TOL + drift:
+    if np.min(u) <= 0 or residual > STATIONARY_TOL + chain.drift:
         raise AnalysisError(
             f"stationary solve failed the fixed-point check "
             f"(residual {residual:.3g}, smallest entry {np.min(u):.3g})")

@@ -93,7 +93,8 @@ def simulate(L, x0: int, steps: int, seed: int,
              game: GameSpec | None = None,
              burn_in: int | None = None) -> Trajectory:
     """Sample a trajectory of the profile chain starting from profile x0."""
-    m = check_stochastic(L, chain=True)
+    m = np.asarray(L, dtype=float)
+    check_stochastic(m)
     kappa = m.shape[0]
     if steps < 1:
         raise DomainError("steps must be >= 1")

@@ -181,6 +181,8 @@ def opponent_strategy_set(k: int, degree: int) -> list:
     and so on; for k = 2 this gives (d,0), (d-1,1), ..., (0,d).  Degree 0
     gives the one zero vector.
     """
+    if degree < 0:
+        raise DomainError("degree must be >= 0")
     if k < 2:  # k <= 0 would recurse forever
         raise DomainError("base game needs k >= 2 strategies")
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import zdkit
-from zdkit import GameSpec, ZDAssignment
+from zdkit import GameSpec, ZDAssignment, build_pee
 from zdkit.cli import main
 from conftest import (
     EXTORTION_PAYOFFS,
@@ -213,12 +213,13 @@ def test_analyze_matrix_not_stochastic_exits_two(tmp_path, capsys):
     assert run(["analyze", "--matrix", str(mat)]) == 2
     err = capsys.readouterr().err
     assert str(mat) in err and "column 1" in err
-    # column 1 sums to 1 + 2e-9, which .6g would print as 1
-    mat.write_text(json.dumps({"matrix": [[0.5 + 2e-9, 0.5], [0.5, 0.5]]}))
+    # column 1 sums to 1 + 5e-9, over a 2x2 chain's 2e-9, which .6g would
+    # print as 1
+    mat.write_text(json.dumps({"matrix": [[0.5 + 5e-9, 0.5], [0.5, 0.5]]}))
     assert run(["analyze", "--matrix", str(mat)]) == 2
     err = capsys.readouterr().err
     assert str(mat) in err and "column 1 (profile 1)" in err
-    assert "(sum 1.000000002, smallest entry 0.5)" in err
+    assert "(sum 1.000000005, smallest entry 0.5)" in err
 
 
 # each rule's columns sum to 1 + DRIFT, which the rule check takes; the
@@ -235,11 +236,17 @@ def test_product_of_accepted_rules_passes_the_chain_check(tmp_path, capsys):
     rules = tmp_path / "rules.json"
     rules.write_text(json.dumps({"rules": {"1": _drifting_rows(0.3),
                                            "2": _drifting_rows(0.6)}}))
+    matrix = tmp_path / "L.json"
+    L = build_pee([np.array(_drifting_rows(p)) for p in (0.3, 0.6)])
+    assert np.abs(L.sum(axis=0) - 1).max() > 1.5e-9
+    matrix.write_text(json.dumps({"matrix": L.tolist()}))
     capsys.readouterr()
     for argv in (["analyze", "--rules", str(rules)],
                  ["analyze", "--game", game, "--rules", str(rules)],
                  ["simulate", "--game", game, "--rules", str(rules),
-                  "--steps", "2000"]):
+                  "--steps", "2000"],
+                 # their product, read as a matrix file, has the same drift
+                 ["analyze", "--matrix", str(matrix)]):
         assert run(argv) == 0, capsys.readouterr().err
     # verify and simulate on an assignment and an opponent with that drift
     doc = json.loads(assignment.read_text())

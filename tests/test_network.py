@@ -36,6 +36,8 @@ def test_opponent_strategy_set_sizes_and_order():
     assert opponent_strategy_set(2, 3) == [(3, 0), (2, 1), (1, 2), (0, 3)]
     assert opponent_strategy_set(2, 1) == [(1, 0), (0, 1)]
     assert opponent_strategy_set(3, 0) == [(0, 0, 0)]
+    with pytest.raises(DomainError, match="degree must be >= 0"):
+        opponent_strategy_set(2, -1)
 
 
 def test_opponent_strategy_set_counting():
