@@ -23,7 +23,6 @@ from .design import (
     LinearRelation,
     ZDAssignment,
     assemble,
-    rationality_check,
     verify_effectiveness,
 )
 from .errors import ValidationError, ZDKitError
@@ -287,7 +286,7 @@ def _verify_trials(game, assignment, trials, tol) -> dict:
 def cmd_design(args) -> int:
     game = GameSpec.load(args.game)
     assignment = _assemble_specs(game, args.player, args.relation)
-    report = rationality_check(assignment)
+    report = assignment.rationality
     doc = assignment.to_json()
     doc["rationality"] = report.to_json()
     _emit(doc, args.out, args.pretty)
@@ -356,7 +355,7 @@ def cmd_neg(args) -> int:
     except ZDKitError as exc:
         raise ValidationError(f"{args.network}: {exc}") from exc
     assignment = _assemble_specs(fop.game, 1, args.relation)
-    rationality = rationality_check(assignment)
+    rationality = assignment.rationality
     trials = _random_trials(args.seed, fop.game, 1, args.random_opponents)
     report_doc = {"node": str(fop.focal), "rational": rationality.verdict,
                   **_verify_trials(fop.game, assignment, trials, args.tol)}

@@ -23,6 +23,7 @@ has no such graph, and its conditions are reported as not evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -122,6 +123,11 @@ class ZDAssignment:
     @property
     def kappa(self) -> int:
         return self.rows.shape[1]
+
+    @cached_property
+    def rationality(self) -> "RationalityReport":
+        """rationality_check of this assignment, run once: rows are read-only."""
+        return rationality_check(self)
 
     def as_rule(self) -> np.ndarray:
         # unchecked: verify reports an irrational design, simulate refuses it
@@ -381,7 +387,7 @@ def verify_effectiveness(game: GameSpec, assignment: ZDAssignment,
             )
         rules.append(r)
     L = build_pee(rules)
-    rational = rationality_check(assignment).verdict
+    rational = assignment.rationality.verdict
     limit_ok = rank_ok = payoffs = residuals = stationary_residual = None
     effective = False
     if not np.any(L < -POSITIVITY_TOL):

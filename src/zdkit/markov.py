@@ -12,8 +12,11 @@ reachability, each class's period from BFS levels, and a primitive chain's
 least witness exponent from Boolean repeated squaring.  For a stochastic L,
 rank(L - I) = kappa - 1 holds iff there is exactly one closed class, and the
 power limit exists iff every closed class is aperiodic (Kemeny & Snell,
-Finite Markov Chains, 1960).  The stationary vector is one LU solve of L - I
-with a row replaced by ones, reported with its residual.  The float routes
+Finite Markov Chains, 1960).  The stationary vector comes from power
+iteration from ITERATION_KAPPA profiles up, certified by its residual and
+capped at kappa // 3 products, with one LU solve of L - I (a row replaced by
+ones) below that crossover and as the fallback; it is reported with its
+residual max |L u - u|.  The float routes
 (Wielandt primitivity loop, SVD rank defect and null space, power limit by
 squaring) stay here as independent references; power iteration and the
 adjugate live in tests/oracles.py.
@@ -35,6 +38,9 @@ POSITIVITY_TOL = 1e-12
 DEFAULT_TOL = 1e-9
 # largest residual max |L u - u| analyze accepts from the stationary solve
 STATIONARY_TOL = 1e-10
+# solve_stationary tries power iteration before the LU from this many
+# profiles up (the grid it comes from is in its docstring)
+ITERATION_KAPPA = 224
 
 
 def build_rule(player: int, probs) -> np.ndarray:
@@ -253,13 +259,9 @@ def chain_structure(L) -> ChainStructure:
                           witness=witness, drift=drift)
 
 
-def solve_stationary(L):
-    """Fixed vector of a chain with one closed class, and its residual.
-
-    One LU solve of L - I with its last row replaced by ones (the mass
-    condition); the residual is max |L u - u|.
-    """
-    m = _matrix_of(L)
+def _lu_stationary(m):
+    """One LU solve of L - I with its last row replaced by ones (the mass
+    condition), and the residual max |L u - u|."""
     kappa = m.shape[0]
     a = m.copy()
     a.flat[::kappa + 1] -= 1.0
@@ -268,6 +270,67 @@ def solve_stationary(L):
     b[-1] = 1.0
     u = np.linalg.solve(a, b)
     return u, float(np.max(np.abs(m @ u - u)))
+
+
+def _iterated_stationary(m):
+    """(u, max |L u - u|) by u <- L u from the uniform vector, each iterate
+    scaled to mass 1; None once the residual falls behind the geometric pace
+    that would reach kappa * eps * max(u) within kappa // 3 products."""
+    kappa = m.shape[0]
+    rounding, cap = kappa * np.finfo(float).eps, kappa // 3
+    u = np.full(kappa, 1.0 / kappa)
+    for t in range(cap):
+        v = m @ u
+        residual = float(abs(v - u).max())
+        target = rounding * u.max()
+        if residual <= target:
+            return u, residual
+        if t == 0:
+            first = residual
+        elif residual > first * (target / first) ** (t / (cap - 1)):
+            return None
+        u = v / v.sum()
+    return None
+
+
+def solve_stationary(L):
+    """Fixed vector of a chain with one closed class, and its residual.
+
+    From ITERATION_KAPPA profiles up, power iteration runs first: u <- L u
+    from the uniform vector, each iterate scaled to mass 1, until
+    max |L u - u| <= kappa * eps * max(u), the rounding bound of the product
+    L u at its fixed point.  It is capped at kappa // 3 products, about the
+    flops of one LU, and gives up sooner once the residual falls behind the
+    geometric pace that would reach the target by the cap, so a slowly
+    mixing chain pays two or three products more than the LU.  Below the
+    crossover, and when the iteration gives up, u is one LU solve of L - I
+    with its last row replaced by ones (the mass condition).  Either way the
+    residual is max |L u - u| of the u returned.
+
+    The crossover comes from a grid on designed chains with interior
+    opponents (the benchmark's verify-dense design at each size), three per
+    kappa, one BLAS thread, 2-vCPU VM; median over 11 alternating rounds of
+    the iteration route's time over the LU's:
+
+        kappa   products   route / LU
+           64      5-6 *    1.8-2.0
+           96    20-27 *    3.0-3.5
+          128      30-37    1.8-2.2
+          160      36-37    1.6-1.8
+          192      33-37    0.83-1.26
+          224      36-37    0.64-0.83
+          256      33-35    0.48-0.78
+          512      33-35    0.31-0.40
+         1024      31-34    0.28-0.36
+
+    * products taken before the residual fell behind the pace, after which
+    the LU ran.  A slowly mixing chain gives up after 2 products, at
+    1.01-1.22x the LU's time from kappa = 128 up.
+    """
+    m = _matrix_of(L)
+    if len(m) >= ITERATION_KAPPA and (found := _iterated_stationary(m)):
+        return found
+    return _lu_stationary(m)
 
 
 def stationary_distribution(L) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Differential test: the exact chain-structure core against the float routes.
 
 chain_structure decides closed classes, periods and primitivity from the
-positivity pattern of L, and solve_stationary takes the stationary vector
-from one LU solve.  Here both are compared with the kept references on every
-chain the other test modules build and on a seeded corpus at kappa = 4, 12
-and 48:
+positivity pattern of L.  solve_stationary takes the stationary vector from
+one LU solve below ITERATION_KAPPA profiles; from there up it runs power
+iteration, certified by its residual and capped at kappa // 3 products, and
+falls back to the LU when the iteration gives up.  Here both are compared
+with the kept references on every chain the other test modules build and on
+a seeded corpus at kappa = 4, 12 and 48 (all on the LU route); the
+iteration is compared with the LU on designed chains at kappa = 256 and 512:
 
 - is_primitive (Wielandt loop) for the flag and the least witness exponent;
 - rank_defect (SVD) for the number of closed classes;
@@ -31,8 +34,16 @@ from zdkit import (
     reduce_to_fop,
 )
 from zdkit.cli import DEFAULT_SEED, _random_interior_rule, parse_relation_spec
-from zdkit.design import design_row, feasible_mu_interval
+from zdkit.design import (
+    RESIDUAL_TOL,
+    design_row,
+    feasible_mu_interval,
+    verify_effectiveness,
+)
 from zdkit.markov import (
+    ITERATION_KAPPA,
+    _iterated_stationary,
+    _lu_stationary,
     chain_structure,
     is_primitive,
     nullspace_stationary,
@@ -383,6 +394,104 @@ def test_stationary_solve_matches_the_eye_subtraction_bit_for_bit():
     # place; the solve must equal the one from L - np.eye(kappa) exactly
     kappa = 256
     m = random_stochastic(np.random.default_rng(61), kappa)
+    a = m - np.eye(kappa)
+    a[-1] = 1.0
+    b = np.zeros(kappa)
+    b[-1] = 1.0
+    want = np.linalg.solve(a, b)
+    # the LU route itself: solve_stationary would iterate at this kappa
+    u, residual = _lu_stationary(m)
+    assert np.array_equal(u, want)
+    assert residual == float(np.max(np.abs(m @ want - want)))
+
+
+# ---------------------------------------------------------------------------
+# the two routes of solve_stationary
+
+
+def _pinning_chain(seed, k):
+    """A rational design by player 2 pinning player 1's payoff (its row 1),
+    the game, and the chain against interior opponents."""
+    rng = np.random.default_rng(seed)
+    kappa = int(np.prod(k))
+    value = rng.uniform(1, 3)
+    own = kappa_params(k).xi(2, 1) == 1
+    w = rng.uniform(0.2, 1.5, kappa)
+    w[own] = -rng.uniform(1.0, 1.5, own.sum())
+    payoffs = rng.uniform(-1, 3, (3, kappa))
+    payoffs[0] = value + w
+    game = GameSpec(k=k, payoffs=payoffs)
+    assignment = assemble(game, 2, [(1, LinearRelation.pinning(3, 1, value), None)])
+    (rules,) = _designed_chains(game, assignment, rng, (1, 3), 1)
+    return game, assignment, rules
+
+
+class _Counting:
+    """A matrix that counts the products taken with it."""
+
+    def __init__(self, m):
+        self.m, self.shape, self.products = m, m.shape, 0
+
+    def __matmul__(self, u):
+        self.products += 1
+        return self.m @ u
+
+
+@pytest.mark.parametrize("seed", [70, 71])
+@pytest.mark.parametrize("k", [(4, 8, 8), (8, 8, 8)], ids=["kappa256", "kappa512"])
+def test_iteration_matches_the_lu_on_designed_chains(k, seed):
+    game, assignment, rules = _pinning_chain(seed, k)
+    L = build_pee(rules)
+    counting = _Counting(L)
+    iterated = _iterated_stationary(counting)
+    assert game.kappa >= ITERATION_KAPPA and iterated is not None
+    assert counting.products <= 40  # 33-37 on such chains, of a cap of 85 or 170
+    u, residual = solve_stationary(L)
+    assert np.array_equal(u, iterated[0]) and residual == iterated[1]
+    assert residual <= game.kappa * np.finfo(float).eps * u.max()
+    lu, _ = _lu_stationary(L)
+    assert np.max(np.abs(game.payoffs @ u - game.payoffs @ lu)) <= 1e-12
+    report = verify_effectiveness(game, assignment, {1: rules[0], 3: rules[2]})
+    assert report.effective and report.stationary_residual == residual
+    assert max(report.residuals) < RESIDUAL_TOL
+
+
+def _slow_chain(kappa, eps, pi0):
+    """A kappa-cycle mixed with eps of the rank-one chain pi0 1^T: starting
+    from the uniform vector, the error shrinks by 1 - eps per product."""
+    return (1 - eps) * np.roll(np.eye(kappa), 1, axis=0) + eps * np.outer(
+        pi0, np.ones(kappa))
+
+
+@pytest.mark.parametrize("kappa", [ITERATION_KAPPA, 300])
+def test_a_slowly_mixing_chain_takes_the_lu_bit_for_bit(kappa):
+    pi0 = np.random.default_rng(72).uniform(0.5, 1.5, kappa)
+    m = _slow_chain(kappa, 1e-3, pi0 / pi0.sum())
+    counting = _Counting(m)
+    assert _iterated_stationary(counting) is None
+    # behind the pace at once: the fallback costs a few products, not the cap
+    assert counting.products <= 3
+    u, residual = solve_stationary(m)
+    want, want_residual = _lu_stationary(m)
+    assert np.array_equal(u, want) and residual == want_residual
+
+
+def test_a_doubly_stochastic_chain_stops_at_the_uniform_start():
+    # the cycle mixed with the uniform chain keeps the uniform vector fixed,
+    # so it certifies at once however slowly the chain mixes
+    kappa = ITERATION_KAPPA
+    m = _slow_chain(kappa, 1e-3, np.full(kappa, 1.0 / kappa))
+    counting = _Counting(m)
+    u, residual = _iterated_stationary(counting)
+    assert counting.products == 1 and np.array_equal(u, np.full(kappa, 1 / kappa))
+    assert residual == float(np.max(np.abs(m @ u - u)))
+
+
+@pytest.mark.parametrize("kappa", [48, 64, ITERATION_KAPPA - 1])
+def test_stationary_solve_below_the_crossover_is_the_lu(kappa):
+    # today's LU, spelt out: analyze-sparse (48) and simulate-mc (64) chains
+    # keep their stationary vectors bit for bit
+    m = random_stochastic(np.random.default_rng(73), kappa)
     a = m - np.eye(kappa)
     a[-1] = 1.0
     b = np.zeros(kappa)

@@ -1,4 +1,5 @@
-"""Property tests of design and verification on small random games, and of
+"""Property tests of design and verification on small random games, of the
+stationary solve's residual on chains either side of its crossover, and of
 network validation on small random networks.
 
 Examples are derandomized, so every run checks the same games.
@@ -11,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import random_interior_rule  # noqa: E402
+from conftest import random_interior_rule, random_stochastic  # noqa: E402
 from oracles import xi_sum_identity  # noqa: E402
 from zdkit import GameSpec, LinearRelation, assemble  # noqa: E402
 from zdkit.design import (  # noqa: E402
@@ -20,6 +21,7 @@ from zdkit.design import (  # noqa: E402
     verify_effectiveness,
 )
 from zdkit.games import ProfileIndexer  # noqa: E402
+from zdkit.markov import ITERATION_KAPPA, solve_stationary  # noqa: E402
 from test_network import check_against_scan  # noqa: E402
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=50,
@@ -95,6 +97,21 @@ def test_both_conditions_force_every_relation(case):
     if report.limit_ok and report.rank_ok:
         assert all(r < RESIDUAL_TOL for r in report.residuals)
         assert report.effective
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(st.sampled_from([ITERATION_KAPPA - 1, ITERATION_KAPPA, 240]),
+       st.integers(0, 2**32 - 1), st.sampled_from([1.0, 0.5, 0.1, 1e-3]))
+def test_stationary_residual_is_that_of_the_vector_returned(kappa, seed, mix):
+    # a random permutation chain mixed with `mix` of a dense one: 1 mixes
+    # fast and takes the iteration from ITERATION_KAPPA up, 1e-3 gives up
+    # and takes the LU
+    rng = np.random.default_rng(seed)
+    m = (1 - mix) * np.eye(kappa)[rng.permutation(kappa)] + mix * random_stochastic(
+        rng, kappa)
+    u, residual = solve_stationary(m)
+    assert residual == float(np.max(np.abs(m @ u - u)))
+    assert abs(u.sum() - 1.0) <= 1e-12 and residual <= 1e-12
 
 
 @st.composite
