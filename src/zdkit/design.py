@@ -85,11 +85,8 @@ class LinearRelation:
         return cls(tuple(coeffs), float(reference) * (float(factor) - 1.0))
 
     def row(self, game: GameSpec) -> np.ndarray:
-        """The kappa-length row sum_m a_m V_m + a_0 * 1."""
-        if len(self.coeffs) != game.n:
-            raise DimensionError(
-                f"relation coeffs has {len(self.coeffs)} entries for {game.n} players"
-            )
+        """The kappa-length row sum_m a_m V_m + a_0 * 1, unchecked: _finite_row
+        checks the coefficient count first."""
         return np.asarray(self.coeffs) @ game.payoffs + self.constant
 
     def evaluate(self, expected_payoffs) -> float:
@@ -155,8 +152,8 @@ class ZDAssignment:
         designer must be a player of game and rows a (k_designer, kappa)
         table of numbers whose columns each sum to 1 (negative entries are
         allowed: an irrational design has them).  Each relation needs an
-        integer row_index, one coefficient per player, and coeffs, constant
-        and mu that are JSON numbers, and its row must be finite on game.
+        integer row_index and coeffs, constant and mu that are JSON numbers;
+        _finite_row checks its coefficient count and that its row is finite.
         """
         designer, relations, rows = json_fields(
             doc, ("designer", "relations", "rows"), "assignment file")
@@ -184,10 +181,6 @@ class ZDAssignment:
             if type(j) is not int:  # exact type, so 1.7 and true are refused
                 raise ValidationError(f"{what}: row_index {j!r} is not an integer")
             coeffs = numeric_table([coeffs], f"{what}: coeffs")[0]
-            if coeffs.size != game.n:
-                raise ValidationError(
-                    f"{what}: relation of row {j} has {coeffs.size} "
-                    f"coefficients for {game.n} players")
             constant, mu = numeric_table([[constant, mu]],
                                          f"{what}: constant and mu")[0]
             relation = LinearRelation(tuple(coeffs), constant)
@@ -214,7 +207,11 @@ def _checked_rows(designer: int, k: int, triples):
 
 
 def _finite_row(game: GameSpec, j: int, relation: LinearRelation) -> np.ndarray:
-    """relation.row(game), or DomainError when an entry overflows."""
+    """relation.row(game), the one place a relation meets a game: DimensionError
+    unless it has one coefficient per player, DomainError if an entry overflows."""
+    if len(relation.coeffs) != game.n:
+        raise DimensionError(f"relation of row {j} has {len(relation.coeffs)} "
+                             f"coefficients for {game.n} players")
     with np.errstate(over="ignore", invalid="ignore"):
         w = relation.row(game)
     if not np.isfinite(w).all():
@@ -222,12 +219,11 @@ def _finite_row(game: GameSpec, j: int, relation: LinearRelation) -> np.ndarray:
     return w
 
 
-def design_row(game: GameSpec, i: int, j: int, relation: LinearRelation,
-               mu: float) -> np.ndarray:
-    """One designed rule row: mu * relation-row + indicator of (i, j)."""
+def design_row(game: GameSpec, i: int, j: int, w: np.ndarray, mu: float) -> np.ndarray:
+    """One designed rule row: mu * w + xi_{i,j}, for the row w _finite_row returns."""
     if mu == 0.0:
         raise DomainError("mu must be nonzero; mu = 0 degenerates the design")
-    return mu * relation.row(game) + game.indexer.xi(i, j)
+    return mu * w + game.indexer.xi(i, j)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite row is refused
@@ -250,14 +246,14 @@ def assemble(game: GameSpec, designer: int, rows) -> ZDAssignment:
                 f"relation of row {j} is identically zero on this game; it "
                 f"holds whatever is played and designs nothing")
         if mu is None:
-            lo, hi = feasible_mu_interval(game, designer, j, relation)
+            lo, hi = feasible_mu_interval(game, designer, j, w)
             mu = hi / 2.0 if hi > -lo else lo / 2.0
             if mu == 0.0:
                 raise DomainError(
                     f"feasible mu interval [{lo:.6g}, {hi:.6g}] for row {j} "
                     f"contains only the excluded point 0; no rational design "
                     f"exists")
-        m[j - 1] = design_row(game, designer, j, relation, mu)
+        m[j - 1] = design_row(game, designer, j, w, mu)
         if not np.isfinite(m[j - 1]).all():
             raise DomainError(f"mu = {mu:g} makes row {j} overflow")
         relations.append((j, relation, mu))
@@ -320,17 +316,15 @@ def rationality_check(assignment: ZDAssignment) -> RationalityReport:
     )
 
 
-def feasible_mu_interval(game: GameSpec, i: int, j: int,
-                         relation: LinearRelation) -> tuple:
+def feasible_mu_interval(game: GameSpec, i: int, j: int, w: np.ndarray) -> tuple:
     """Closed interval of mu keeping the designed row entrywise in [0,1].
 
-    Each profile s with w_s != 0 bounds mu by -xi_s / w_s and
-    (1 - xi_s) / w_s; the interval is the intersection of those ranges.  It
-    always contains 0, which is itself excluded from valid designs; an
-    interval collapsing to [0, 0] means no admissible mu.  A bound is never
-    -0.0, so messages print it as 0.
+    w is the relation row _finite_row returns.  Each profile s with w_s != 0
+    bounds mu by -xi_s / w_s and (1 - xi_s) / w_s; the interval is the
+    intersection of those ranges.  It always contains 0, which is itself
+    excluded from valid designs; an interval collapsing to [0, 0] means no
+    admissible mu.  A bound is never -0.0, so messages print it as 0.
     """
-    w = relation.row(game)
     xi = game.indexer.xi(i, j)
     nz = w != 0.0
     a, b = -xi[nz] / w[nz], (1.0 - xi[nz]) / w[nz]

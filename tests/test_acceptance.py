@@ -101,8 +101,8 @@ def test_02_pinning_rows_golden():
     game = GameSpec(k=(2, 3, 2), payoffs=PINNING_PAYOFFS)
 
     def run_once():
-        r1 = design_row(game, 2, 1, LinearRelation.pinning(3, 1, 4.0), 0.1)
-        r2 = design_row(game, 2, 2, LinearRelation.pinning(3, 3, 3.0), 0.1)
+        r1 = design_row(game, 2, 1, LinearRelation.pinning(3, 1, 4.0).row(game), 0.1)
+        r2 = design_row(game, 2, 2, LinearRelation.pinning(3, 3, 3.0).row(game), 0.1)
         return r1, r2
 
     run_once()
@@ -217,7 +217,7 @@ def test_07_negative_controls():
     # switching opponent: the chain is periodic, so the power limit fails
     game = GameSpec(k=(2, 2), payoffs=np.tile(np.arange(4.0), (2, 1)))
     rel = LinearRelation((1.0, -1.0), 0.0)
-    row = design_row(game, 1, 1, rel, 0.5)
+    row = design_row(game, 1, 1, rel.row(game), 0.5)
     a = ZDAssignment(designer=1, rows=[row, 1.0 - row], relations=((1, rel, 0.5),))
     report_b = verify_effectiveness(game, a, {2: build_rule(
         2, [[0, 1, 0, 1], [1, 0, 1, 0]])})
@@ -296,7 +296,7 @@ def test_09_network_reduction_golden():
 
     # end-to-end: pin the fictitious opponent of node A to payoff 2
     fop_a = reduce_to_fop(net, "A")
-    row = design_row(fop_a.game, 1, 1, LinearRelation.pinning(2, 2, 2.0),
+    row = design_row(fop_a.game, 1, 1, LinearRelation.pinning(2, 2, 2.0).row(fop_a.game),
                      -1 / 16)
     assignment = ZDAssignment(designer=1, rows=[row, 1.0 - row], relations=(
         (1, LinearRelation.pinning(2, 2, 2.0), -1 / 16),))

@@ -638,7 +638,7 @@ BAD_RELATIONS = {
     "mu_not_number": ("pin:target=2,value=2,row=1,mu=zz", "mu"),
     "coeffs_not_numbers": ("lin:coeffs=1:a,constant=0,row=1,mu=auto", "coeffs"),
     "row_past_k": ("pin:target=2,value=2,row=9,mu=auto", "row 9"),
-    "coeffs_count": ("lin:coeffs=1:2:3,row=1", "coeffs"),
+    "coeffs_count": ("lin:coeffs=1:2:3,row=1", "3 coefficients for 2 players"),
     "zero_relation_row": ("pin:target=2,value=2,row=1,mu=auto",
                           "identically zero"),
     "unknown_kind": ("foo:row=1,mu=auto", "unknown relation kind 'foo'"),

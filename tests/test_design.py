@@ -74,19 +74,19 @@ def test_design_row_zero_relation_passthrough():
     payoffs = np.tile(np.arange(4.0), (2, 1))
     game = GameSpec(k=(2, 2), payoffs=payoffs)
     rel = LinearRelation((1.0, -1.0), 0.0)
-    row = design_row(game, 1, 1, rel, mu=0.5)
+    row = design_row(game, 1, 1, rel.row(game), mu=0.5)
     np.testing.assert_array_equal(row, game.indexer.xi(1, 1))
 
 
 def test_design_row_rejects_zero_mu(pinning_game):
     rel = LinearRelation.pinning(3, 1, 4)
     with pytest.raises(DomainError):
-        design_row(pinning_game, 2, 1, rel, mu=0.0)
+        design_row(pinning_game, 2, 1, rel.row(pinning_game), mu=0.0)
 
 
 def test_design_scale_covariance(pinning_game):
     rel = LinearRelation((2.0, 0.0, 0.0), -8.0)  # pinning relation scaled by 2
-    row = design_row(pinning_game, 2, 1, rel, mu=0.05)
+    row = design_row(pinning_game, 2, 1, rel.row(pinning_game), mu=0.05)
     np.testing.assert_allclose(row, PINNING_ROW_1, rtol=0, atol=1e-15)
 
 
@@ -146,14 +146,14 @@ def test_row_sum_identity_random_games(k):
 
 def test_feasible_mu_interval_golden(pinning_game):
     rel = LinearRelation.pinning(3, 1, 4)
-    lo, hi = feasible_mu_interval(pinning_game, 2, 1, rel)
+    lo, hi = feasible_mu_interval(pinning_game, 2, 1, rel.row(pinning_game))
     assert lo < 0.1 < hi  # the published choice lies inside
 
 
 def test_feasible_mu_interval_zero_row():
     payoffs = np.tile(np.arange(4.0), (2, 1))
     game = GameSpec(k=(2, 2), payoffs=payoffs)
-    lo, hi = feasible_mu_interval(game, 1, 1, LinearRelation((1.0, -1.0), 0.0))
+    lo, hi = feasible_mu_interval(game, 1, 1, LinearRelation((1.0, -1.0), 0.0).row(game))
     assert lo == -np.inf and hi == np.inf
 
 
@@ -161,7 +161,7 @@ def test_feasible_mu_interval_grid_oracle(pinning_game):
     """Every mu inside the interval passes the per-entry check, every mu
     outside fails (dense grid brute force)."""
     rel = LinearRelation((1.0, -0.7, 0.2), -2.0)
-    lo, hi = feasible_mu_interval(pinning_game, 2, 2, rel)
+    lo, hi = feasible_mu_interval(pinning_game, 2, 2, rel.row(pinning_game))
     w = rel.row(pinning_game)
     xi = pinning_game.indexer.xi(2, 2)
     for mu in np.linspace(lo - 0.5, hi + 0.5, 401):
@@ -192,7 +192,7 @@ def test_effectiveness_limit_failure_on_periodic_chain():
     payoffs = np.tile(np.arange(4.0), (2, 1))
     game = GameSpec(k=(2, 2), payoffs=payoffs)
     rel = LinearRelation((1.0, -1.0), 0.0)
-    row = design_row(game, 1, 1, rel, 0.5)
+    row = design_row(game, 1, 1, rel.row(game), 0.5)
     a = ZDAssignment(designer=1, rows=[row, 1.0 - row], relations=((1, rel, 0.5),))
     switch = build_rule(2, [[0, 1, 0, 1], [1, 0, 1, 0]])
     report = verify_effectiveness(game, a, {2: switch})
@@ -204,7 +204,7 @@ def test_effectiveness_rank_failure_on_two_block_chain():
     payoffs = np.tile(np.arange(4.0), (2, 1))
     game = GameSpec(k=(2, 2), payoffs=payoffs)
     rel = LinearRelation((1.0, -1.0), 0.0)
-    row = design_row(game, 1, 1, rel, 0.5)
+    row = design_row(game, 1, 1, rel.row(game), 0.5)
     a = ZDAssignment(designer=1, rows=[row, 1.0 - row], relations=((1, rel, 0.5),))
     # opponent mixes uniformly regardless of state; the designer's own move
     # never changes, so the chain splits into two independent blocks
@@ -227,7 +227,7 @@ def test_multi_designer_compatibility():
 
     def pick_design(i, target):
         rel = LinearRelation.pinning(3, target, 0.0)
-        lo, hi = feasible_mu_interval(game, i, 1, rel)
+        lo, hi = feasible_mu_interval(game, i, 1, rel.row(game))
         mu = hi / 2 if hi > -lo else lo / 2
         assert mu != 0.0
         return assemble(game, i, [(1, rel, mu)])
@@ -283,6 +283,31 @@ def test_assemble_rejects_zero_relation_row():
     for mu in (None, 0.1):
         with pytest.raises(DomainError, match="row 1 is identically zero"):
             assemble(game, 1, [(1, LinearRelation.pinning(2, 2, 2.0), mu)])
+
+
+def test_assemble_forms_each_relation_row_once(pinning_game, monkeypatch):
+    # the relation row w is formed once per designed row and handed to
+    # feasible_mu_interval and design_row, with mu auto or given
+    calls = []
+    row = LinearRelation.row
+    monkeypatch.setattr(LinearRelation, "row",
+                        lambda self, game: calls.append(self) or row(self, game))
+    for mu in (None, 0.1):
+        calls.clear()
+        assemble(pinning_game, 2, [(1, LinearRelation.pinning(3, 1, 4.0), mu),
+                                   (2, LinearRelation.pinning(3, 3, 3.0), mu)])
+        assert len(calls) == 2
+
+
+def test_relation_with_the_wrong_count_is_refused_naming_its_row(pinning_game):
+    message = "relation of row 2 has 2 coefficients for 3 players"
+    with pytest.raises(DimensionError, match=message):
+        assemble(pinning_game, 2, [(2, LinearRelation((1.0, 0.0), -4.0), 0.1)])
+    doc = assemble(pinning_game, 2,
+                   [(2, LinearRelation.pinning(3, 3, 3.0), 0.1)]).to_json()
+    doc["relations"][0]["coeffs"] = [1.0, 0.0]
+    with pytest.raises(DimensionError, match=message):
+        ZDAssignment.from_json(doc, pinning_game)
 
 
 def test_effectiveness_refuses_a_rule_with_the_wrong_strategy_count():
@@ -380,7 +405,7 @@ def check_against_loops(game, designer, specs):
     """
     intervals = {}
     for j, rel in specs:
-        lo, hi = feasible_mu_interval(game, designer, j, rel)
+        lo, hi = feasible_mu_interval(game, designer, j, rel.row(game))
         ref_lo, ref_hi = loop_feasible_mu_interval(game, designer, j, rel)
         assert same_float(lo, ref_lo) and same_float(hi, ref_hi)
         intervals[j] = (lo, hi)
@@ -466,12 +491,12 @@ def test_relation_constructors_reject_players_out_of_range():
 
 def test_assemble_auto_mu_and_row_checks(pinning_game):
     rel = LinearRelation.pinning(3, 1, 4)
-    lo, hi = feasible_mu_interval(pinning_game, 2, 1, rel)
+    lo, hi = feasible_mu_interval(pinning_game, 2, 1, rel.row(pinning_game))
     auto = assemble(pinning_game, 2, [(1, rel, None)])
     assert auto.relations[0][2] == (hi / 2 if hi > -lo else lo / 2)
     np.testing.assert_array_equal(
         auto.rows[0],
-        design_row(pinning_game, 2, 1, rel, auto.relations[0][2]))
+        design_row(pinning_game, 2, 1, rel.row(pinning_game), auto.relations[0][2]))
     with pytest.raises(DomainError, match="row 1 designed twice"):
         assemble(pinning_game, 2, [(1, rel, 0.1), (1, rel, 0.2)])
 

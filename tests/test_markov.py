@@ -1,3 +1,4 @@
+import json
 import re
 from math import prod
 
@@ -13,6 +14,8 @@ from zdkit import (
     build_rule,
     simulate,
 )
+from zdkit import markov
+from zdkit.cli import main
 from zdkit.markov import (
     DEFAULT_TOL,
     chain_structure,
@@ -329,3 +332,27 @@ def test_analyze_reports_periods_and_residual():
     assert doc["stationary"] is None and doc["stationary_residual"] is None
     doc = analyze(np.eye(3)).to_json()
     assert doc["periods"] == [1, 1, 1] and doc["rank_defect"] == 3
+
+
+# a stationary solve whose answer is not a fixed point: a residual far over
+# STATIONARY_TOL, or a vector with a zero entry (a primitive chain has none)
+FAILED_SOLVES = {
+    "residual": lambda u, residual: (u, 1e-6),
+    "zero_entry": lambda u, residual: (np.r_[0.0, u[1:] / u[1:].sum()], 0.0),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILED_SOLVES))
+def test_analyze_refuses_a_solve_that_fails_the_fixed_point_check(
+        tmp_path, capsys, monkeypatch, case):
+    rules = [[[0.3] * 4, [0.7] * 4], [[0.6] * 4, [0.4] * 4]]
+    solve = markov.solve_stationary
+    monkeypatch.setattr(markov, "solve_stationary",
+                        lambda L: FAILED_SOLVES[case](*solve(L)))
+    with pytest.raises(AnalysisError, match="failed the fixed-point check"):
+        analyze(build_pee([np.array(r) for r in rules]))
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"rules": {"1": rules[0], "2": rules[1]}}))
+    capsys.readouterr()
+    assert main(["analyze", "--rules", str(path)]) == 2
+    assert "failed the fixed-point check" in capsys.readouterr().err

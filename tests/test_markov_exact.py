@@ -128,7 +128,7 @@ def _repeat_designer():
     """test_design's "repeat my move" designer on the equal-payoff game."""
     game = GameSpec(k=(2, 2), payoffs=np.tile(np.arange(4.0), (2, 1)))
     rel = LinearRelation((1.0, -1.0), 0.0)
-    row = design_row(game, 1, 1, rel, 0.5)
+    row = design_row(game, 1, 1, rel.row(game), 0.5)
     return ZDAssignment(designer=1, rows=[row, 1.0 - row],
                         relations=((1, rel, 0.5),))
 
@@ -212,7 +212,7 @@ def existing_test_chains():
     chains["acceptance.08"] = drawn
     fop = reduce_to_fop(fig1_network(), "A")
     rel = LinearRelation.pinning(2, 2, 2.0)
-    row = design_row(fop.game, 1, 1, rel, -1 / 16)
+    row = design_row(fop.game, 1, 1, rel.row(fop.game), -1 / 16)
     pin_a = ZDAssignment(designer=1, rows=[row, 1.0 - row],
                          relations=((1, rel, -1 / 16),))
     chains["acceptance.09"] = _designed_chains(
@@ -228,7 +228,7 @@ def existing_test_chains():
         for seed in range(40, 46)]
 
     # test_network
-    lo, hi = feasible_mu_interval(fop.game, 1, 1, rel)
+    lo, hi = feasible_mu_interval(fop.game, 1, 1, rel.row(fop.game))
     fop_pin = assemble(fop.game, 1, [(1, rel, hi / 2 if hi > -lo else lo / 2)])
     chains["network.fop_pinning"] = _designed_chains(
         fop.game, fop_pin, np.random.default_rng(30), (2,), 5)
@@ -266,7 +266,7 @@ def _multi_designer_chains():
 
     def pick(i, target):
         rel = LinearRelation.pinning(3, target, 0.0)
-        lo, hi = feasible_mu_interval(game, i, 1, rel)
+        lo, hi = feasible_mu_interval(game, i, 1, rel.row(game))
         return assemble(game, i, [(1, rel, hi / 2 if hi > -lo else lo / 2)])
 
     a1, a3 = pick(1, 2), pick(3, 1)

@@ -115,7 +115,7 @@ def test_payoff_linearity_in_counts():
 def test_fop_pinning_rational_and_effective():
     fop = reduce_to_fop(fig1_network(), "A")
     rel = LinearRelation.pinning(2, target=2, value=2.0)
-    lo, hi = feasible_mu_interval(fop.game, 1, 1, rel)
+    lo, hi = feasible_mu_interval(fop.game, 1, 1, rel.row(fop.game))
     mu = hi / 2 if hi > -lo else lo / 2
     assert mu != 0.0
     assignment = assemble(fop.game, 1, [(1, rel, mu)])
@@ -140,7 +140,7 @@ def test_fop_extortion_design_shape():
 def test_fop_mu_outside_interval_fails_rationality():
     fop = reduce_to_fop(fig1_network(), "A")
     rel = LinearRelation.pinning(2, target=2, value=2.0)
-    lo, hi = feasible_mu_interval(fop.game, 1, 1, rel)
+    lo, hi = feasible_mu_interval(fop.game, 1, 1, rel.row(fop.game))
     mu = (hi if hi > -lo else lo) * 3  # well outside
     assignment = assemble(fop.game, 1, [(1, rel, mu)])
     assert not rationality_check(assignment).verdict

@@ -63,7 +63,7 @@ def designs(draw, feasible=None):
     else:
         relation = LinearRelation.extortion(n, designer, target, factor, value)
     if feasible:
-        _, hi = feasible_mu_interval(game, designer, row, relation)
+        _, hi = feasible_mu_interval(game, designer, row, relation.row(game))
         mu = draw(st.none() | st.floats(0.05, 1).map(lambda t: t * hi))
     else:
         mu = draw(st.floats(1e-3, 1)) * draw(st.sampled_from([-1, 1]))
