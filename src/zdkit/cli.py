@@ -77,8 +77,8 @@ def _positive(text: str) -> float:
     return float(text)
 
 
-def _seed(text: str) -> int:
-    """The argparse type of --seed: an integer >= 0, as numpy's generators take."""
+def _natural(text: str) -> int:
+    """The argparse type of --seed and --random-opponents: an integer >= 0."""
     if int(text) < 0:  # argparse reports a ValueError too
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
     return int(text)
@@ -215,8 +215,6 @@ def _random_interior_rule(rng, player: int, k: int, kappa: int):
 
 def _random_trials(seed, game: GameSpec, designer: int, count: int) -> list:
     """count draws of a random interior rule for every other player."""
-    if count < 0:
-        raise ValidationError(f"--random-opponents must be >= 0, got {count}")
     if count == 0:
         return []
     rng = np.random.default_rng(seed)
@@ -343,8 +341,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_neg(args) -> int:
-    if not args.out:
-        raise ValidationError("neg writes several artifacts; --out DIR is required")
     net = NetworkGame.load(args.network)
     node = args.node
     if (node not in net.position and node.removeprefix("-").isdecimal()
@@ -363,12 +359,9 @@ def cmd_neg(args) -> int:
     game_doc = fop.game.to_json()
     game_doc["focal_node"] = str(fop.focal)
     game_doc["aggregate_profiles"] = [list(c) for c in fop.aggregate_profiles]
-    for name, doc in (("reduced_game.json", game_doc),
-                      ("assignment.json", assignment.to_json()),
-                      ("report.json", report_doc)):
-        _emit(doc, os.path.join(args.out, name), False)
-    if args.pretty:
-        _render_table(report_doc)
+    _emit(game_doc, os.path.join(args.out, "reduced_game.json"), False)
+    _emit(assignment.to_json(), os.path.join(args.out, "assignment.json"), False)
+    _emit(report_doc, os.path.join(args.out, "report.json"), args.pretty)
     all_ok = rationality.verdict and report_doc["all_effective"]
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
@@ -386,8 +379,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", help="output path (default: stdout)")
+    def common(p, out_help="output path (default: stdout)", required=False):
+        p.add_argument("--out", required=required, help=out_help)
         p.add_argument("--pretty", action="store_true",
                        help="also print a human-readable table")
 
@@ -407,9 +400,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--assignment", required=True)
     given = p.add_mutually_exclusive_group(required=True)
     given.add_argument("--opponents", help="JSON file with opponents' rule matrices")
-    given.add_argument("--random-opponents", type=int,
+    given.add_argument("--random-opponents", type=_natural,
                        help="verify against N random interior opponents")
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_natural, default=DEFAULT_SEED)
     p.add_argument("--tol", type=_positive, default=RESIDUAL_TOL,
                    help="residual tolerance for effectiveness")
     common(p)
@@ -431,7 +424,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=int, default=1)
     p.add_argument("--z", type=_positive, default=4.0,
                    help="z-score threshold for the empirical-vs-exact check")
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_natural, default=DEFAULT_SEED)
     common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -441,11 +434,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", action="append", required=True,
                    help="relation specs on the reduced 2-player game "
                         "(opponent is player 2)")
-    p.add_argument("--random-opponents", type=int, default=20)
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--random-opponents", type=_natural, default=20)
+    p.add_argument("--seed", type=_natural, default=DEFAULT_SEED)
     p.add_argument("--tol", type=_positive, default=RESIDUAL_TOL,
                    help="residual tolerance for effectiveness")
-    common(p)
+    common(p, "directory for the three output files", required=True)
     p.set_defaults(func=cmd_neg)
     return parser
 

@@ -38,8 +38,6 @@ from .markov import (
 )
 
 RESIDUAL_TOL = 1e-8
-# largest excess over [0, 1] a rational design's entries and sums may have
-RATIONALITY_TOL = 1e-12
 
 
 def _check_player(n: int, p: int, role: str):
@@ -288,7 +286,7 @@ def _excess(values) -> np.ndarray:
 def rationality_check(assignment: ZDAssignment) -> RationalityReport:
     """Designed rows must lie in [0,1] entrywise and sum entrywise into [0,1].
 
-    An excess over [0, 1] beyond RATIONALITY_TOL is a violation.  Violations
+    An excess over [0, 1] beyond POSITIVITY_TOL is a violation.  Violations
     are listed row by row, each in profile order; worst_margin is the
     largest excess among them (0.0 when there are none).
     A non-finite entry is a violation with an infinite excess.
@@ -300,12 +298,12 @@ def rationality_check(assignment: ZDAssignment) -> RationalityReport:
         row = assignment.rows[j - 1]
         total += row
         excess = _excess(row)
-        bad = np.flatnonzero(excess > RATIONALITY_TOL)
+        bad = np.flatnonzero(excess > POSITIVITY_TOL)
         row_viol += [(j, s + 1, v) for s, v in
                      zip(bad.tolist(), row[bad].tolist())]
         worst = max(worst, excess[bad].max(initial=0.0))
     excess = _excess(total)
-    bad = np.flatnonzero(excess > RATIONALITY_TOL)
+    bad = np.flatnonzero(excess > POSITIVITY_TOL)
     sum_viol = [(s + 1, v) for s, v in zip(bad.tolist(), total[bad].tolist())]
     worst = max(worst, excess[bad].max(initial=0.0))
     return RationalityReport(

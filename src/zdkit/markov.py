@@ -32,7 +32,8 @@ import numpy as np
 from .errors import AnalysisError, DimensionError, DomainError, ValidationError
 from .stp import khatri_rao
 
-# strict-positivity threshold for primitivity checks
+# the one sign tolerance: how far outside [0, 1] a probability or designed
+# entry may lie, and how far above 0 an entry must be to count as positive
 POSITIVITY_TOL = 1e-12
 # largest distance from 1 a probability column's sum may have
 DEFAULT_TOL = 1e-9

@@ -183,18 +183,12 @@ def opponent_strategy_set(k: int, degree: int) -> list:
     """
     if degree < 0:
         raise DomainError("degree must be >= 0")
-    if k < 2:  # k <= 0 would recurse forever
+    if k < 2:
         raise DomainError("base game needs k >= 2 strategies")
-
-    def rec(remaining, slots):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for d in range(remaining, -1, -1):
-            for rest in rec(remaining - d, slots - 1):
-                yield (d,) + rest
-
-    return list(rec(degree, k))
+    out = [(degree,)]
+    for _ in range(k - 1):  # split each vector's last count, largest share first
+        out = [c[:-1] + (d, c[-1] - d) for c in out for d in range(c[-1], -1, -1)]
+    return out
 
 
 @dataclass(frozen=True)

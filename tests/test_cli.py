@@ -370,6 +370,38 @@ def test_pretty_rendering(pinning_game_file, capsys, tmp_path):
     assert "rationality" in captured
 
 
+def test_pretty_renders_a_list_of_numbers(tmp_path, capsys):
+    argv = _analyze_matrix_argv(tmp_path)
+    assert run([*argv, "--out", os.devnull, "--pretty"]) == 0
+    assert "\nstationary           0.833333  0.166667\n" in capsys.readouterr().out
+
+
+def test_neg_pretty_prints_the_report_after_the_files(network_file, tmp_path,
+                                                      capsys, monkeypatch):
+    from zdkit import cli
+
+    argv = ["neg", "--network", network_file, "--node", "A",
+            "--relation", "pin:target=2,value=2,row=1,mu=auto",
+            "--random-opponents", "2", "--seed", "9", "--out"]
+    plain, pretty = tmp_path / "plain", tmp_path / "pretty"
+    names = ("reduced_game.json", "assignment.json", "report.json")
+    assert run([*argv, str(plain)]) == 0
+    assert capsys.readouterr().out == ""
+    render = cli._render_table
+
+    def render_after_the_files(doc, indent=""):
+        assert all((pretty / name).exists() for name in names)
+        render(doc, indent)
+
+    monkeypatch.setattr(cli, "_render_table", render_after_the_files)
+    assert run([*argv, str(pretty), "--pretty"]) == 0
+    for name in names:
+        assert (pretty / name).read_bytes() == (plain / name).read_bytes()
+    table = capsys.readouterr().out
+    assert table.startswith("node                 A\nrational             True\n"
+                            "trials               2\n")
+
+
 def test_malformed_relation_spec(pinning_game_file, capsys):
     code = run([
         "design", "--game", pinning_game_file, "--player", "2",
@@ -481,6 +513,9 @@ def _bad_network(case):
         doc["nodes"] = "abc"
     elif case == "edges_not_list":
         doc["edges"] = {"a": "b"}
+    elif case == "edge_string":
+        # a string of length 2 would otherwise unpack as two one-letter ends
+        doc["edges"] = ["ab"]
     elif case == "k_mismatch":
         doc["base_game"]["k"] = 3
     elif case == "bimatrix_not_square":
@@ -514,6 +549,7 @@ BAD_NETWORK = {
     "duplicate_node": "duplicate node 'a'",
     "nodes_not_list": "network fields 'nodes' and 'edges' must be lists",
     "edges_not_list": "network fields 'nodes' and 'edges' must be lists",
+    "edge_string": "edge 'ab' is not a pair of nodes",
     "k_mismatch": "base_game.k = 3 but payoff matrix is 2x2",
     "bimatrix_not_square": "base payoff must be square (k >= 2), got (2, 3)",
     "edge_end_bool": "edge [True, 2] has an end that is not a string or an integer",
@@ -642,6 +678,8 @@ BAD_RELATIONS = {
     "zero_relation_row": ("pin:target=2,value=2,row=1,mu=auto",
                           "identically zero"),
     "unknown_kind": ("foo:row=1,mu=auto", "unknown relation kind 'foo'"),
+    "field_without_value": ("pin:target=2,value,row=1", "malformed field 'value'"),
+    "no_kind": ("target=2,value=2,row=1", "missing 'kind:' prefix"),
     # a repeated field, or one its kind does not take, was once ignored
     "mu_twice": ("pin:target=2,value=2,row=1,mu=0.1,mu=auto", "'mu' given twice"),
     "row_twice": ("pin:target=2,value=2,row=1,row=1,mu=0.1", "'row' given twice"),
@@ -875,15 +913,42 @@ def test_verify_bad_assignment_file_exits_two(tmp_path, capsys, case):
 
 
 def test_negative_random_opponents_exits_two(network_file, tmp_path, capsys):
+    # argparse refuses the count, naming the flag as it names --seed
     game, path = _assignment_file(tmp_path)
     capsys.readouterr()
-    assert run(["verify", "--game", game, "--assignment", str(path),
-                "--random-opponents", "-3"]) == 2
-    assert "--random-opponents must be >= 0, got -3" in capsys.readouterr().err
-    assert run(["neg", "--network", network_file, "--node", "A",
-                "--relation", "pin:target=2,value=2,row=1,mu=auto",
-                "--random-opponents", "-1", "--out", str(tmp_path / "neg")]) == 2
-    assert "--random-opponents must be >= 0, got -1" in capsys.readouterr().err
+    for argv, count in (
+            (["verify", "--game", game, "--assignment", str(path)], "-3"),
+            (["neg", "--network", network_file, "--node", "A",
+              "--relation", "pin:target=2,value=2,row=1,mu=auto",
+              "--out", str(tmp_path / "neg")], "-1")):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--random-opponents", count])
+        assert exc.value.code == 2
+        assert (f"argument --random-opponents: {count!r} is not an integer >= 0"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "neg").exists()
+
+
+def test_neg_without_out_exits_two(network_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["neg", "--network", network_file, "--node", "A",
+             "--relation", "pin:target=2,value=2,row=1,mu=auto"])
+    assert exc.value.code == 2
+    assert ("the following arguments are required: --out"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["design", "verify", "analyze", "simulate",
+                                     "neg"])
+def test_every_subcommand_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert usage.startswith(f"usage: zdkit {command} ")
+    if command == "neg":
+        # --out is required, so the usage shows it outside brackets
+        assert " --out OUT" in usage and "[--out OUT]" not in usage
 
 
 def test_simulate_refuses_an_irrational_design_by_its_file(tmp_path, capsys):
@@ -1036,8 +1101,8 @@ _GOOD_RULES = {"1": [[0.5] * 4] * 2, "2": [[0.5] * 4] * 2}
 _GOOD_ASSIGNMENT = {"designer": 1, "relations": [], "rows": [[0.5] * 4] * 2}
 
 # (reader, fault) -> (document, what the message must name): a document that
-# is not a JSON object, one missing a required field, and one with a bool
-# where an integer goes
+# is not a JSON object, one missing a required field, one with a bool where
+# an integer goes, and a field of the wrong shape
 BAD_FILES = {
     ("game", "not_object"): ([2, [2, 2]], "game file must hold a JSON object"),
     ("game", "missing_field"): ({"players": 2, "strategy_counts": [2, 2]},
@@ -1050,11 +1115,15 @@ BAD_FILES = {
     ("rules", "bool"): ({"rules": {**_GOOD_RULES, "2": [[True, 0, 0, 0],
                                                         [0, 1, 1, 1]]}},
                         "player 2: entry in row 1, column 1 is True"),
+    ("rules", "rules_not_object"): ({"rules": [[0.5]]},
+                                    "field 'rules' must hold a JSON object"),
     ("matrix", "not_object"): ("L", "matrix must be a rectangular table"),
     ("matrix", "missing_field"): ({"rows": [[1.0]]},
                                   "missing required field 'matrix'"),
     ("matrix", "bool"): ({"matrix": [[True, 0], [0, 1]]},
                          "entry in row 1, column 1 is True"),
+    ("matrix", "not_square"): ({"matrix": [[0.2, 0.3, 0.5]]},
+                               "'matrix' must be a square table of numbers"),
     ("assignment", "not_object"): ([_GOOD_ASSIGNMENT],
                                    "assignment file must hold a JSON object"),
     ("assignment", "missing_field"): (

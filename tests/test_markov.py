@@ -56,6 +56,13 @@ def test_build_rule_rejects_bad_columns():
         build_rule(1, [[1.2, 0.5], [-0.2, 0.5]])
 
 
+@pytest.mark.parametrize("probs", [[0.5, 0.5], [[1.0, 1.0]]],
+                         ids=["one_dimensional", "one_row"])
+def test_build_rule_refuses_a_table_of_fewer_than_two_rows(probs):
+    with pytest.raises(DimensionError, match="2-D matrix with >= 2 rows"):
+        build_rule(1, probs)
+
+
 def test_build_rule_rejects_nan_naming_the_player():
     with pytest.raises(ValidationError, match="player 1 rule: column 1"):
         build_rule(1, [[np.nan, 0.5], [np.nan, 0.5]])

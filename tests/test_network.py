@@ -1,3 +1,4 @@
+import gc
 import itertools
 from math import comb
 
@@ -38,15 +39,29 @@ def test_opponent_strategy_set_sizes_and_order():
     assert opponent_strategy_set(3, 0) == [(0, 0, 0)]
     with pytest.raises(DomainError, match="degree must be >= 0"):
         opponent_strategy_set(2, -1)
+    with pytest.raises(DomainError, match="k >= 2"):
+        opponent_strategy_set(1, 3)
 
 
 def test_opponent_strategy_set_counting():
+    # reduce_to_fop's payoff columns follow this order: every count vector,
+    # strategy 1's count falling first, then strategy 2's, and so on
     for k in range(2, 5):
         for deg in range(7):
             out = opponent_strategy_set(k, deg)
             assert len(out) == comb(deg + k - 1, k - 1)
-            assert len(set(out)) == len(out)
-            assert all(sum(d) == deg for d in out)
+            assert out == sorted((c for c in itertools.product(
+                range(deg + 1), repeat=k) if sum(c) == deg), reverse=True)
+
+
+def test_opponent_strategy_set_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        opponent_strategy_set(3, 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_reduce_node_a_payoff_vectors():
