@@ -115,10 +115,6 @@ class ZDAssignment:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "relations", relations)
 
-    @property
-    def kappa(self) -> int:
-        return self.rows.shape[1]
-
     @cached_property
     def rationality(self) -> "RationalityReport":
         """rationality_check of this assignment, run once: rows are read-only."""
@@ -293,7 +289,7 @@ def rationality_check(assignment: ZDAssignment) -> RationalityReport:
     """
     row_viol = []
     worst = 0.0
-    total = np.zeros(assignment.kappa)
+    total = np.zeros(assignment.rows.shape[1])
     for j, _, _ in assignment.relations:
         row = assignment.rows[j - 1]
         total += row

@@ -29,7 +29,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import AnalysisError, DimensionError, DomainError, ValidationError
+from .errors import AnalysisError, DimensionError, ValidationError
 from .stp import khatri_rao
 
 # the one sign tolerance: how far outside [0, 1] a probability or designed
@@ -83,18 +83,18 @@ def _matrix_of(L) -> np.ndarray:
     return m
 
 
-def is_primitive(L, tol: float = POSITIVITY_TOL):
+def is_primitive(L):
     """Whether some power of L is strictly positive; returns (flag, witness).
 
     Checks powers up to the Wielandt bound (kappa-1)^2 + 1 on the positivity
     pattern only, which is exact for nonnegative matrices.
     """
     m = _matrix_of(L)
-    if np.any(m < -tol):
+    if np.any(m < -POSITIVITY_TOL):
         raise ValidationError(
             "primitivity by the Wielandt bound needs a nonnegative matrix")
     kappa = m.shape[0]
-    pattern = m > tol
+    pattern = m > POSITIVITY_TOL
     bound = (kappa - 1) ** 2 + 1
     power = pattern.copy()
     for s in range(1, bound + 1):
@@ -345,10 +345,7 @@ def stationary_distribution(L) -> np.ndarray:
 def rank_defect(L) -> int:
     """kappa minus the numerical rank of L - I (singular-value threshold)."""
     m = _matrix_of(L)
-    kappa = m.shape[0]
-    sv = np.linalg.svd(m - np.eye(kappa), compute_uv=False)
-    thresh = kappa * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    return kappa - int(np.sum(sv > thresh))
+    return len(m) - int(np.linalg.matrix_rank(m - np.eye(len(m))))
 
 
 @dataclass(frozen=True)
@@ -358,22 +355,21 @@ class PowerLimit:
     steps: int
 
 
-def power_limit(L, max_t: int = 1 << 20, tol: float = 1e-12) -> PowerLimit:
-    """Limit of L^t by repeated squaring, testing L^t ~ L^{t+1}.
+def power_limit(L) -> PowerLimit:
+    """Limit of L^t by repeated squaring while t <= 2^20, testing
+    max |L^{t+1} - L^t| < 1e-12.
 
     Comparing t against t+1 (rather than t against 2t) is what catches
     periodic chains, whose even powers alone can look convergent.
     """
-    if max_t < 1:
-        raise DomainError("max_t must be >= 1")
     m = _matrix_of(L)
     P = m.copy()
     t = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        while t <= max_t:
+        while t <= 1 << 20:
             if not np.all(np.isfinite(P)):
                 break  # powers blow up (columns not true distributions)
-            if np.max(np.abs(P @ m - P)) < tol:
+            if np.max(np.abs(P @ m - P)) < 1e-12:
                 return PowerLimit(converged=True, matrix=P, steps=t)
             P = P @ P
             t *= 2

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import DomainError
 from .games import GameSpec
-from .markov import check_stochastic
+from .markov import _matrix_of, check_stochastic
 
 # Draws are taken and walked this many at a time, which bounds the Python
 # floats alive at once.
@@ -90,18 +90,15 @@ def guide_table(cum: np.ndarray, G: int) -> np.ndarray:
 
 
 def simulate(L, x0: int, steps: int, seed: int,
-             game: GameSpec | None = None,
-             burn_in: int | None = None) -> Trajectory:
+             game: GameSpec | None = None) -> Trajectory:
     """Sample a trajectory of the profile chain starting from profile x0."""
-    m = np.asarray(L, dtype=float)
+    m = _matrix_of(L)
     check_stochastic(m)
     kappa = m.shape[0]
     if steps < 1:
         raise DomainError("steps must be >= 1")
     if not 1 <= x0 <= kappa:
         raise DomainError(f"initial profile {x0} outside 1..{kappa}")
-    if burn_in is None:
-        burn_in = steps // 10
 
     cum = np.cumsum(m, axis=0)
     cum[-1, :] = 1.0  # guard against rounding in the last bin
@@ -114,7 +111,10 @@ def simulate(L, x0: int, steps: int, seed: int,
     values = np.array([*range(kappa), -1], dtype=object)
     guide = values[guide_table(cum, G)].tolist()
     rng = np.random.default_rng(seed)
-    states = np.empty(steps, dtype=np.int64)
+    try:
+        states = np.empty(steps, dtype=np.int64)
+    except ValueError:  # numpy refuses the size before allocating
+        raise DomainError(f"steps = {steps} is more than one array can hold") from None
     s = x0 - 1
     for start in range(0, steps, DRAW_CHUNK):
         u = rng.random(min(DRAW_CHUNK, steps - start))
@@ -125,7 +125,7 @@ def simulate(L, x0: int, steps: int, seed: int,
             chunk.append(s)
         states[start:start + u.size] = np.fromiter(chunk, np.int64, u.size)
     del guide  # before the post-burn-in copy, so the two never add up
-    kept = states[burn_in:]
+    kept = states[steps // 10:]
     counts = np.bincount(kept, minlength=kappa)
     empirical = counts / counts.sum()
     payoffs = None

@@ -368,18 +368,18 @@ def loop_feasible_mu_interval(game, i, j, relation):
 def loop_rationality(assignment, tol=1e-12):
     row_viol = []
     worst = 0.0
-    total = np.zeros(assignment.kappa)
+    total = np.zeros(assignment.rows.shape[1])
     for j, _, _ in assignment.relations:
         row = assignment.rows[j - 1]
         total += row
-        for s in range(assignment.kappa):
+        for s in range(assignment.rows.shape[1]):
             v = row[s]
             excess = max(-v, v - 1.0)
             if excess > tol:
                 row_viol.append((j, s + 1, float(v)))
                 worst = max(worst, excess)
     sum_viol = []
-    for s in range(assignment.kappa):
+    for s in range(assignment.rows.shape[1]):
         excess = max(-total[s], total[s] - 1.0)
         if excess > tol:
             sum_viol.append((s + 1, float(total[s])))

@@ -272,7 +272,7 @@ def test_power_limit_primitive_converges_to_stationary_columns():
 
 def test_power_limit_periodic_diverges():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert not power_limit(swap, max_t=2 ** 12).converged
+    assert not power_limit(swap).converged
 
 
 def test_power_limit_identity_converges_with_unequal_columns():
