@@ -168,13 +168,14 @@ def _read_matrix(doc) -> np.ndarray:
     return L
 
 
-def _read_rules(doc, game: GameSpec | None, players) -> dict:
+def _read_rules(doc, game: GameSpec | None, players, designer=None) -> dict:
     """Rule arrays by player from a decoded rules file ({"rules": {player: rows}}).
 
     Keys must be plain player numbers ("2", not "02" or "+2") and entries
     finite numbers.  Player p is in 1..n and its rule is (k_p, prod(k)): n
     and k are the game's, or with no game the number of rules and their row
-    counts.  Every player in `players` must have a rule.
+    counts.  Every player in `players` must have a rule, and `designer`,
+    whose rule comes from the assignment, must not.
     """
     rules, = json_fields(doc, ("rules",), "rules file")
     if not isinstance(rules, dict):
@@ -187,6 +188,9 @@ def _read_rules(doc, game: GameSpec | None, players) -> dict:
         p = int(key)
         if not 1 <= p <= n:
             raise ValidationError(f"player {p} outside 1..{n}")
+        if p == designer:
+            raise ValidationError(f"player {p} is the designer; its rule "
+                                  f"comes from --assignment")
         tables[p] = numeric_table(matrix, f"rule of player {p}")
     k = game.k if game is not None else [len(tables[p]) for p in range(1, n + 1)]
     for p, m in tables.items():
@@ -296,7 +300,8 @@ def cmd_verify(args) -> int:
     assignment = load_json(args.assignment, ZDAssignment.from_json, game)
     if args.opponents is not None:
         others = [p for p in range(1, game.n + 1) if p != assignment.designer]
-        trials = [load_json(args.opponents, _read_rules, game, others)]
+        trials = [load_json(args.opponents, _read_rules, game, others,
+                            assignment.designer)]
     else:
         trials = _random_trials(args.seed, game, assignment.designer,
                                 args.random_opponents)

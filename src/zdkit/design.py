@@ -16,8 +16,10 @@ the stationary vector, so the relation is forced to hold whenever the chain
 settles.  Rationality asks the designed rows to be genuine probabilities;
 effectiveness asks the chain to settle (power limit with identical columns,
 and rank(L - I) = kappa - 1).  Both conditions are decided exactly from the
-transition graph (markov.chain_structure); a design with negative entries
-has no such graph, and its conditions are reported as not evaluated.
+transition graph (markov.chain_structure), or, when L is entrywise
+positive, from the rules alone (markov.positive_product); a design with
+negative entries has no such graph, and its conditions are reported as not
+evaluated.
 """
 
 from __future__ import annotations
@@ -31,9 +33,12 @@ from .errors import DimensionError, DomainError, ValidationError
 from .games import GameSpec, json_fields, numeric_table
 from .markov import (
     DEFAULT_TOL,
+    ITERATION_KAPPA,
     POSITIVITY_TOL,
     build_pee,
     chain_structure,
+    khatri_rao_stationary,
+    positive_product,
     solve_stationary,
 )
 
@@ -365,6 +370,15 @@ def verify_effectiveness(game: GameSpec, assignment: ZDAssignment,
     these conditions alone.  An irrational design with negative entries
     makes L no chain at all: it is ineffective, with both conditions None
     (not evaluated).
+
+    A trial of two or more players from ITERATION_KAPPA profiles up whose
+    L is entrywise positive, decided exactly from the rules
+    (markov.positive_product), is one aperiodic class: both conditions
+    hold, and the stationary vector comes from the iteration over the
+    Khatri-Rao product (markov.khatri_rao_stationary) without forming L.
+    Its stationary_residual is max |K u - u| of that product K.  Every other
+    trial, and one whose iteration gives up, builds L and takes the route
+    above.
     """
     rules = []
     for p in range(1, game.n + 1):
@@ -374,16 +388,24 @@ def verify_effectiveness(game: GameSpec, assignment: ZDAssignment,
                 f"player {p} rule has {r.shape[0]} strategies, expected {game.k[p - 1]}"
             )
         rules.append(r)
-    L = build_pee(rules)
     rational = assignment.rationality.verdict
     limit_ok = rank_ok = payoffs = residuals = stationary_residual = None
-    effective = False
-    if not np.any(L < -POSITIVITY_TOL):
-        chain = chain_structure(L)
-        rank_ok = chain.rank_defect == 1
-        limit_ok = effective = chain.limit_identical_columns
+    # an entrywise positive L is one aperiodic class, witness 1
+    found = (game.n > 1 and game.kappa >= ITERATION_KAPPA
+             and positive_product(rules) and khatri_rao_stationary(rules))
+    if found:
+        limit_ok = rank_ok = True
+    else:
+        L = build_pee(rules)
+        if not np.any(L < -POSITIVITY_TOL):
+            chain = chain_structure(L)
+            rank_ok = chain.rank_defect == 1
+            limit_ok = chain.limit_identical_columns
+        if limit_ok:
+            found = solve_stationary(L)
+    effective = bool(found)
     if effective:
-        u, stationary_residual = solve_stationary(L)
+        u, stationary_residual = found
         ec = game.payoffs @ u
         payoffs = [float(v) for v in ec]
         residuals = [

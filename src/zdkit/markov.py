@@ -13,19 +13,27 @@ least witness exponent from Boolean repeated squaring.  For a stochastic L,
 rank(L - I) = kappa - 1 holds iff there is exactly one closed class, and the
 power limit exists iff every closed class is aperiodic (Kemeny & Snell,
 Finite Markov Chains, 1960).  The stationary vector comes from power
-iteration from ITERATION_KAPPA profiles up, certified by its residual and
-capped at kappa // 3 products, with one LU solve of L - I (a row replaced by
-ones) below that crossover and as the fallback; it is reported with its
-residual max |L u - u|.  The float routes
-(Wielandt primitivity loop, SVD rank defect and null space, power limit by
-squaring) stay here as independent references; power iteration and the
-adjugate live in tests/oracles.py.
+iteration from ITERATION_KAPPA profiles up, accelerated by Aitken steps,
+certified by its residual and capped at kappa // 3 products, with one LU
+solve of L - I (a row replaced by ones) below that crossover and as the
+fallback; it is reported with its residual max |L u - u|.
+
+Some chains are decided from the rules alone.  positive_product tells
+exactly, from the rules' column minima, whether L is entrywise positive;
+such a chain is one aperiodic class with witness 1, and
+khatri_rao_stationary runs the same iteration over the product
+(W @ (R_n * u).T).ravel(), W the Khatri-Rao product of all rules but the
+last, without forming L.  The float routes (Wielandt primitivity loop, SVD
+rank defect and null space, power limit by squaring) stay here as
+independent references; power iteration and the adjugate live in
+tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
+from math import prod
 
 import numpy as np
 
@@ -41,7 +49,7 @@ DEFAULT_TOL = 1e-9
 STATIONARY_TOL = 1e-10
 # solve_stationary tries power iteration before the LU from this many
 # profiles up (the grid it comes from is in its docstring)
-ITERATION_KAPPA = 224
+ITERATION_KAPPA = 160
 
 
 def build_rule(player: int, probs) -> np.ndarray:
@@ -54,12 +62,9 @@ def build_rule(player: int, probs) -> np.ndarray:
     return m
 
 
-def build_pee(rules) -> np.ndarray:
-    """The kappa x kappa Khatri-Rao product of the players' rules.
-
-    rules are arrays in player order; an error names a rule by its position.
-    """
-    rules = list(rules)
+def _profile_count(rules) -> int:
+    """kappa of rules that multiply to a kappa x kappa chain; DimensionError
+    names a rule by its position, or the shape the rules would yield."""
     if not rules:
         raise DimensionError("need at least one rule")
     kappa = rules[0].shape[1]
@@ -67,13 +72,53 @@ def build_pee(rules) -> np.ndarray:
         if r.shape[1] != kappa:
             raise DimensionError(
                 f"rule {p} has {r.shape[1]} profile columns, expected {kappa}")
-    L = reduce(khatri_rao, rules)
-    if L.shape != (kappa, kappa):
+    if (rows := prod(r.shape[0] for r in rules)) != kappa:
         raise DimensionError(
-            f"rules yield a {L.shape} matrix; strategy counts do not multiply "
-            f"to the shared profile count {kappa}"
+            f"rules yield a {(rows, kappa)} matrix; strategy counts do not "
+            f"multiply to the shared profile count {kappa}"
         )
-    return L
+    return kappa
+
+
+def build_pee(rules) -> np.ndarray:
+    """The kappa x kappa Khatri-Rao product of the players' rules.
+
+    rules are arrays in player order; an error names a rule by its position.
+    """
+    rules = list(rules)
+    _profile_count(rules)
+    return reduce(khatri_rao, rules)
+
+
+def positive_product(rules) -> bool:
+    """Whether build_pee(rules) > POSITIVITY_TOL entrywise, without forming it.
+
+    Exact, not within a tolerance: for nonnegative factors rounding is
+    monotone, so the smallest entry of a column of L is the product of the
+    rules' column minima taken in build_pee's left-to-right order.  Raises
+    build_pee's DimensionError on rules that do not multiply to a chain.
+    """
+    rules = list(rules)
+    _profile_count(rules)
+    mins = [r.min(axis=0) for r in rules]
+    return (min(m.min() for m in mins) >= 0
+            and bool((reduce(np.multiply, mins) > POSITIVITY_TOL).all()))
+
+
+class _KhatriRao:
+    """L = build_pee(rules) as an operator u -> L u that never forms L.
+
+    With W the product of all rules but the last, R, entry (a, b) of L u
+    reshaped to (kappa / k_n, k_n) is sum_c W[a, c] R[b, c] u_c.
+    """
+
+    def __init__(self, rules):
+        *first, self.last = rules
+        self.w = reduce(khatri_rao, first)
+        self.shape = (self.last.shape[1],) * 2
+
+    def __matmul__(self, u):
+        return (self.w @ (self.last * u).T).ravel()
 
 
 def _matrix_of(L) -> np.ndarray:
@@ -274,15 +319,25 @@ def _lu_stationary(m):
 
 
 def _iterated_stationary(m):
-    """(u, max |L u - u|) by u <- L u from the uniform vector, each iterate
+    """(u, max |m @ u - u|) by u <- m @ u from the uniform vector, each iterate
     scaled to mass 1; None once the residual falls behind the geometric pace
-    that would reach kappa * eps * max(u) within kappa // 3 products."""
+    that would reach kappa * eps * max(u) within kappa // 3 products.
+
+    m is L or an operator with L's shape and u -> L u (_KhatriRao).  After a
+    residual check that follows a plain step, with d1 and d2 the last two
+    differences m @ u - u, an Aitken step extrapolates along the slow mode:
+    u <- (m @ u) + d2 lam / (1 - lam), lam = d2.d1 / d1.d1, when 0 < lam < 1
+    (W. J. Stewart, Introduction to the Numerical Solution of Markov Chains,
+    1994).  The next step is plain, since its difference is not one power
+    step after the last.
+    """
     kappa = m.shape[0]
     rounding, cap = kappa * np.finfo(float).eps, kappa // 3
-    u = np.full(kappa, 1.0 / kappa)
+    u, d1 = np.full(kappa, 1.0 / kappa), None
     for t in range(cap):
         v = m @ u
-        residual = float(abs(v - u).max())
+        d2 = v - u
+        residual = float(abs(d2).max())
         target = rounding * u.max()
         if residual <= target:
             return u, residual
@@ -290,20 +345,32 @@ def _iterated_stationary(m):
             first = residual
         elif residual > first * (target / first) ** (t / (cap - 1)):
             return None
-        u = v / v.sum()
+        # d1 != 0: its residual missed a target of at least eps
+        lam = 0.0 if d1 is None else d2 @ d1 / (d1 @ d1)
+        if 0 < lam < 1:
+            v, d2 = v + d2 * (lam / (1 - lam)), None
+        u, d1 = v / v.sum(), d2
     return None
+
+
+def khatri_rao_stationary(rules):
+    """(u, max |K u - u|) of the chain build_pee(rules) by _iterated_stationary
+    over the Khatri-Rao product K u of two or more rules, never forming the
+    kappa x kappa L; None when the iteration gives up."""
+    return _iterated_stationary(_KhatriRao(rules))
 
 
 def solve_stationary(L):
     """Fixed vector of a chain with one closed class, and its residual.
 
-    From ITERATION_KAPPA profiles up, power iteration runs first: u <- L u
-    from the uniform vector, each iterate scaled to mass 1, until
-    max |L u - u| <= kappa * eps * max(u), the rounding bound of the product
-    L u at its fixed point.  It is capped at kappa // 3 products, about the
-    flops of one LU, and gives up sooner once the residual falls behind the
-    geometric pace that would reach the target by the cap, so a slowly
-    mixing chain pays two or three products more than the LU.  Below the
+    From ITERATION_KAPPA profiles up, power iteration runs first
+    (_iterated_stationary): u <- L u from the uniform vector, each iterate
+    scaled to mass 1 and every other one extrapolated by an Aitken step,
+    until max |L u - u| <= kappa * eps * max(u), the rounding bound of the
+    product L u at its fixed point.  It is capped at kappa // 3 products,
+    about the flops of one LU, and gives up sooner once the residual falls
+    behind the geometric pace that would reach the target by the cap, so a
+    slowly mixing chain pays two products more than the LU.  Below the
     crossover, and when the iteration gives up, u is one LU solve of L - I
     with its last row replaced by ones (the mass condition).  Either way the
     residual is max |L u - u| of the u returned.
@@ -311,22 +378,23 @@ def solve_stationary(L):
     The crossover comes from a grid on designed chains with interior
     opponents (the benchmark's verify-dense design at each size), three per
     kappa, one BLAS thread, 2-vCPU VM; median over 11 alternating rounds of
-    the iteration route's time over the LU's:
+    the iteration route's time over the LU's, and the same for a slowly
+    mixing chain (a kappa-cycle mixed with 1e-3 of a rank-one chain):
 
-        kappa   products   route / LU
-           64      5-6 *    1.8-2.0
-           96    20-27 *    3.0-3.5
-          128      30-37    1.8-2.2
-          160      36-37    1.6-1.8
-          192      33-37    0.83-1.26
-          224      36-37    0.64-0.83
-          256      33-35    0.48-0.78
-          512      33-35    0.31-0.40
-         1024      31-34    0.28-0.36
+        kappa   products   route / LU   slow chain
+           64        2 *    1.37-1.42         1.39
+           96      20-21    2.16-2.29         1.24
+          128      19-22    1.30-1.56         1.17
+          144         19    1.10-1.14         1.17
+          160      17-21    0.56-0.72         1.13
+          192      18-22    0.62-0.89         1.08
+          224      18-20    0.49-0.53         1.08
+          256         19    0.46-0.53         1.08
+          512      16-19    0.24-0.30         1.10
+         1024      15-19    0.14-0.18         1.00
 
     * products taken before the residual fell behind the pace, after which
-    the LU ran.  A slowly mixing chain gives up after 2 products, at
-    1.01-1.22x the LU's time from kappa = 128 up.
+    the LU ran.  The slow chain gives up after 2 products at every kappa.
     """
     m = _matrix_of(L)
     if len(m) >= ITERATION_KAPPA and (found := _iterated_stationary(m)):

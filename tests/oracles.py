@@ -4,11 +4,13 @@ None of this runs in the pipeline.  It holds the semi-tensor product (STP)
 algebra that the Khatri-Rao construction comes from, canonical vectors and
 structure matrices, logical and stochastic predicates, the closed-form
 profile index sets, expected-payoff evaluation, and the float references for
-the stationary vector (power iteration, the adjugate of L - I) and for the
+the stationary vector (power iteration, the adjugate of L - I), for the
+Khatri-Rao product of the rules (column by column with np.kron) and for the
 row-sum identity.  The other float references (is_primitive, rank_defect,
 nullspace_stationary, power_limit) stay in zdkit.markov.
 """
 
+from functools import reduce
 from math import lcm
 
 import numpy as np
@@ -155,6 +157,15 @@ def power_iteration_stationary(L, tol: float = 1e-14, max_iter: int = 200000):
             return y, it + 1
         x = y
     raise AnalysisError(f"power iteration did not converge in {max_iter} steps")
+
+
+def kron_columns(rules) -> np.ndarray:
+    """The transition matrix of rules in player order, built column by
+    column: column c is kron(R_1[:, c], ..., R_n[:, c]).  Independent of
+    zdkit.stp; it multiplies in the same left-to-right order."""
+    rules = [np.asarray(r, dtype=float) for r in rules]
+    return np.column_stack([reduce(np.kron, [r[:, c] for r in rules])
+                            for c in range(rules[0].shape[1])])
 
 
 def adjugate(M, cap: int = 64) -> np.ndarray:

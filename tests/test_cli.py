@@ -595,6 +595,30 @@ def test_verify_opponents_file_missing_player_exits_two(pinning_game_file,
     assert str(path) in err and "players [3]" in err
 
 
+def test_verify_opponents_file_with_a_designer_rule_exits_two(tmp_path, capsys):
+    # the 2x2 prisoner's dilemma with designer 1: a file giving player 1 an
+    # always-defect rule was ignored, and the assignment's rule was used
+    game = tmp_path / "pd.json"
+    save_game(GameSpec(k=(2, 2), payoffs=[[3, 0, 5, 1], [3, 5, 0, 1]]), game)
+    assignment = tmp_path / "a.json"
+    assert run(["design", "--game", str(game), "--player", "1",
+                "--relation", "pin:target=2,value=2,row=1,mu=auto",
+                "--out", str(assignment)]) == 0
+    path = tmp_path / "opponents.json"
+    path.write_text(json.dumps({"rules": {"1": [[0] * 4, [1] * 4],
+                                          "2": [[0.5] * 4, [0.5] * 4]}}))
+    capsys.readouterr()
+    code = run(["verify", "--game", str(game), "--assignment", str(assignment),
+                "--opponents", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: player 1 is the designer; its rule "
+                          f"comes from --assignment")
+    # simulate keeps its splice: the designed rule replaces the file's
+    assert run(["simulate", "--game", str(game), "--rules", str(path),
+                "--assignment", str(assignment), "--steps", "100"]) == 0
+
+
 def test_analyze_rejects_numeric_strings(tmp_path, capsys):
     rules = tmp_path / "rules.json"
     rules.write_text(json.dumps({"rules": {"1": [["0.5", "0.5"], ["0.5", "0.5"]]}}))

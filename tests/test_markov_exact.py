@@ -7,7 +7,9 @@ iteration, certified by its residual and capped at kappa // 3 products, and
 falls back to the LU when the iteration gives up.  Here both are compared
 with the kept references on every chain the other test modules build and on
 a seeded corpus at kappa = 4, 12 and 48 (all on the LU route); the
-iteration is compared with the LU on designed chains at kappa = 256 and 512:
+iteration is compared with the LU on designed chains at kappa = 256 and 512,
+and verify_effectiveness's matrix-free route with its dense route on
+all-positive trials from ITERATION_KAPPA up:
 
 - is_primitive (Wielandt loop) for the flag and the least witness exponent;
 - rank_defect (SVD) for the number of closed classes;
@@ -25,6 +27,7 @@ import pytest
 from zdkit import (
     GameSpec,
     LinearRelation,
+    NetworkGame,
     ValidationError,
     ZDAssignment,
     analyze,
@@ -42,11 +45,14 @@ from zdkit.design import (
 )
 from zdkit.markov import (
     ITERATION_KAPPA,
+    _KhatriRao,
     _iterated_stationary,
     _lu_stationary,
     chain_structure,
+    khatri_rao_stationary,
     is_primitive,
     nullspace_stationary,
+    positive_product,
     power_limit,
     rank_defect,
     solve_stationary,
@@ -57,7 +63,7 @@ from conftest import (
     random_interior_rule,
     random_stochastic,
 )
-from oracles import kappa_params, power_iteration_stationary
+from oracles import kappa_params, kron_columns, power_iteration_stationary
 from test_acceptance import _sharp_interior_rule
 from test_markov import pd_rules
 from test_network import fig1_network
@@ -409,19 +415,26 @@ def test_stationary_solve_matches_the_eye_subtraction_bit_for_bit():
 # the two routes of solve_stationary
 
 
+def _pinning_design(rng, k, designer, target):
+    """The game and a rational design, with mu=auto, by which designer pins
+    target's payoff with its row 1; every entry of the rule is positive."""
+    kappa = int(np.prod(k))
+    value = rng.uniform(1, 3)
+    own = kappa_params(k).xi(designer, 1) == 1
+    w = rng.uniform(0.2, 1.5, kappa)
+    w[own] = -rng.uniform(1.0, 1.5, own.sum())
+    payoffs = rng.uniform(-1, 3, (len(k), kappa))
+    payoffs[target - 1] = value + w
+    game = GameSpec(k=k, payoffs=payoffs)
+    relation = LinearRelation.pinning(len(k), target, value)
+    return game, assemble(game, designer, [(1, relation, None)])
+
+
 def _pinning_chain(seed, k):
     """A rational design by player 2 pinning player 1's payoff (its row 1),
     the game, and the chain against interior opponents."""
     rng = np.random.default_rng(seed)
-    kappa = int(np.prod(k))
-    value = rng.uniform(1, 3)
-    own = kappa_params(k).xi(2, 1) == 1
-    w = rng.uniform(0.2, 1.5, kappa)
-    w[own] = -rng.uniform(1.0, 1.5, own.sum())
-    payoffs = rng.uniform(-1, 3, (3, kappa))
-    payoffs[0] = value + w
-    game = GameSpec(k=k, payoffs=payoffs)
-    assignment = assemble(game, 2, [(1, LinearRelation.pinning(3, 1, value), None)])
+    game, assignment = _pinning_design(rng, k, 2, 1)
     (rules,) = _designed_chains(game, assignment, rng, (1, 3), 1)
     return game, assignment, rules
 
@@ -445,14 +458,20 @@ def test_iteration_matches_the_lu_on_designed_chains(k, seed):
     counting = _Counting(L)
     iterated = _iterated_stationary(counting)
     assert game.kappa >= ITERATION_KAPPA and iterated is not None
-    assert counting.products <= 40  # 33-37 on such chains, of a cap of 85 or 170
+    assert counting.products <= 20  # 14-16 on such chains, of a cap of 85 or 170
     u, residual = solve_stationary(L)
     assert np.array_equal(u, iterated[0]) and residual == iterated[1]
     assert residual <= game.kappa * np.finfo(float).eps * u.max()
     lu, _ = _lu_stationary(L)
     assert np.max(np.abs(game.payoffs @ u - game.payoffs @ lu)) <= 1e-12
+    # verify takes the matrix-free route on this all-positive chain: its
+    # vector is certified against the product it used
     report = verify_effectiveness(game, assignment, {1: rules[0], 3: rules[2]})
-    assert report.effective and report.stationary_residual == residual
+    ku, k_residual = khatri_rao_stationary(rules)
+    assert report.effective and report.stationary_residual == k_residual
+    assert k_residual <= game.kappa * np.finfo(float).eps * ku.max()
+    assert report.expected_payoffs == list(game.payoffs @ ku)
+    assert np.max(np.abs(game.payoffs @ ku - game.payoffs @ lu)) <= 1e-12
     assert max(report.residuals) < RESIDUAL_TOL
 
 
@@ -500,3 +519,72 @@ def test_stationary_solve_below_the_crossover_is_the_lu(kappa):
     u, residual = solve_stationary(m)
     assert np.array_equal(u, want)
     assert residual == float(np.max(np.abs(m @ want - want)))
+
+
+# ---------------------------------------------------------------------------
+# the two routes of verify_effectiveness
+
+
+def _star_fop(degree):
+    """A hub with `degree` leaves on the prisoner's dilemma, reduced to the
+    hub against its aggregate neighbours, and neg's pin of that aggregate."""
+    net = NetworkGame(nodes=tuple(range(degree + 1)),
+                      edges=tuple((0, leaf) for leaf in range(1, degree + 1)),
+                      base_payoff=[[3.0, 0.0], [5.0, 1.0]])
+    game = reduce_to_fop(net, 0).game
+    spec = f"pin:target=2,value={2.0 * degree},row=1,mu=auto"
+    return game, assemble(game, 1, [parse_relation_spec(spec, game, 1)])
+
+
+def _route_cases():
+    """(id, game, assignment) at kappa >= ITERATION_KAPPA: the designer first,
+    in the middle and last, on several shapes, and a hub's reduced game."""
+    cases = []
+    for seed, (k, designer) in enumerate([((4, 8, 8), 1), ((4, 8, 8), 2),
+                                          ((4, 8, 8), 3), ((8, 4, 8), 3),
+                                          ((6, 6, 8), 2), ((2, 4, 4, 8), 4)]):
+        target = 2 if designer == 1 else 1
+        game, assignment = _pinning_design(np.random.default_rng(80 + seed), k,
+                                           designer, target)
+        cases.append((f"k{'x'.join(map(str, k))}-designer{designer}", game,
+                      assignment))
+    cases.append(("fop-degree111", *_star_fop(111)))
+    return cases
+
+
+@pytest.mark.parametrize("name,game,assignment", _route_cases(),
+                         ids=[case[0] for case in _route_cases()])
+def test_matrix_free_route_matches_the_dense_route(name, game, assignment,
+                                                   monkeypatch):
+    assert game.kappa >= ITERATION_KAPPA
+    eps = np.finfo(float).eps
+    others = [p for p in range(1, game.n + 1) if p != assignment.designer]
+    (rules,) = _designed_chains(game, assignment, np.random.default_rng(90),
+                                others, 1)
+    opponents = {p: rules[p - 1] for p in others}
+    # the oracle builds the dense route's L, and the matrix-free product
+    # agrees with it to rounding
+    L = kron_columns(rules)
+    assert np.array_equal(L, build_pee(rules)) and positive_product(rules)
+    x = np.random.default_rng(91).uniform(0, 1, game.kappa)
+    assert np.max(np.abs(_KhatriRao(rules) @ x - L @ x)) <= (
+        game.kappa * eps * x.max())
+
+    matrix_free = verify_effectiveness(game, assignment, opponents)
+    with monkeypatch.context() as m:
+        m.setattr("zdkit.design.positive_product", lambda rules: False)
+        dense = verify_effectiveness(game, assignment, opponents)
+    assert matrix_free.effective and dense.effective
+    assert (matrix_free.rational, matrix_free.limit_ok, matrix_free.rank_ok) == (
+        dense.rational, dense.limit_ok, dense.rank_ok) == (True, True, True)
+    assert np.max(np.abs(np.subtract(matrix_free.expected_payoffs,
+                                     dense.expected_payoffs))) <= 1e-12
+    # each route's residual is certified against the vector it returned
+    ku, k_residual = khatri_rao_stationary(rules)
+    u, residual = solve_stationary(L)
+    assert matrix_free.stationary_residual == k_residual <= (
+        game.kappa * eps * ku.max())
+    assert dense.stationary_residual == residual <= game.kappa * eps * u.max()
+    # and the matrix-free vector is a fixed point of the oracle's L too,
+    # within the rounding the two products differ by
+    assert np.max(np.abs(L @ ku - ku)) <= 2 * game.kappa * eps * ku.max()

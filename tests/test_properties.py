@@ -1,6 +1,7 @@
 """Property tests of design and verification on small random games, of the
-stationary solve's residual on chains either side of its crossover, and of
-network validation on small random networks.
+stationary solve's residual on chains either side of its crossover, of the
+positivity test verify uses to skip L, and of network validation on small
+random networks.
 
 Examples are derandomized, so every run checks the same games.
 """
@@ -14,14 +15,26 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import random_interior_rule, random_stochastic  # noqa: E402
 from oracles import xi_sum_identity  # noqa: E402
-from zdkit import GameSpec, LinearRelation, assemble  # noqa: E402
+from zdkit import (  # noqa: E402
+    GameSpec,
+    LinearRelation,
+    ZDAssignment,
+    assemble,
+    build_pee,
+)
 from zdkit.design import (  # noqa: E402
     RESIDUAL_TOL,
     feasible_mu_interval,
     verify_effectiveness,
 )
 from zdkit.games import ProfileIndexer  # noqa: E402
-from zdkit.markov import ITERATION_KAPPA, solve_stationary  # noqa: E402
+from zdkit.markov import (  # noqa: E402
+    ITERATION_KAPPA,
+    POSITIVITY_TOL,
+    positive_product,
+    solve_stationary,
+)
+from test_markov_exact import _pinning_design  # noqa: E402
 from test_network import check_against_scan  # noqa: E402
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=50,
@@ -112,6 +125,64 @@ def test_stationary_residual_is_that_of_the_vector_returned(kappa, seed, mix):
     u, residual = solve_stationary(m)
     assert residual == float(np.max(np.abs(m @ u - u)))
     assert abs(u.sum() - 1.0) <= 1e-12 and residual <= 1e-12
+
+
+@st.composite
+def nonnegative_rules(draw):
+    """Nonnegative rules of 2-4 players with 2 or 3 strategies each.
+
+    Entries are uniform in [0.05, 1], except in up to three tight columns,
+    where each rule has an entry near 1e-12 ** (1 / n), so the column's
+    smallest product of entries lands on either side of POSITIVITY_TOL, and
+    up to two entries set to zero.  In a tight column the last rule's entry
+    may instead put that product within a few units in the last place of
+    POSITIVITY_TOL, where the order of the products decides the side.
+    """
+    k = draw(st.lists(st.integers(2, 3), min_size=2, max_size=4))
+    n, kappa = len(k), int(np.prod(k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rules = [rng.uniform(0.05, 1.0, (k_p, kappa)) for k_p in k]
+    near = POSITIVITY_TOL ** (1 / n)
+    for c in draw(st.lists(st.integers(0, kappa - 1), max_size=3)):
+        head = 1.0
+        for r in rules:
+            entry = near * draw(st.just(1.0) | st.floats(0.5, 2.0))
+            if r is rules[-1] and draw(st.booleans()):
+                entry, ulps = POSITIVITY_TOL / head, draw(st.integers(-3, 3))
+                for _ in range(abs(ulps)):
+                    entry = np.nextafter(entry, np.copysign(np.inf, ulps))
+            head *= entry
+            r[draw(st.integers(0, len(r) - 1)), c] = entry
+    for _ in range(draw(st.integers(0, 2))):
+        r = rules[draw(st.integers(0, n - 1))]
+        r[draw(st.integers(0, len(r) - 1)), draw(st.integers(0, kappa - 1))] = 0.0
+    return rules
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(nonnegative_rules())
+def test_positive_product_is_the_entrywise_test_on_L(rules):
+    assert positive_product(rules) == bool(
+        (build_pee(rules) > POSITIVITY_TOL).all())
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(st.integers(0, 255), st.integers(1, 7), st.floats(1e-6, 0.5))
+def test_a_negative_designer_entry_leaves_both_conditions_unevaluated(s, j, size):
+    # above the crossover, where an all-positive trial skips L: a designer
+    # entry below 0 sends the trial to L, which is no chain
+    game, assignment = _pinning_design(np.random.default_rng(74), (4, 8, 8), 2, 1)
+    assert game.kappa >= ITERATION_KAPPA
+    rows = assignment.rows.copy()
+    rows[j - 1, s], rows[j - 2, s] = -size, rows[j - 2, s] + rows[j - 1, s] + size
+    broken = ZDAssignment(designer=2, rows=rows, relations=assignment.relations)
+    rng = np.random.default_rng(s)
+    opponents = {p: random_interior_rule(rng, p, game.k[p - 1], game.kappa)
+                 for p in (1, 3)}
+    assert not positive_product([opponents[1], broken.rows, opponents[3]])
+    report = verify_effectiveness(game, broken, opponents)
+    assert (report.limit_ok, report.rank_ok, report.effective) == (None, None, False)
+    assert report.expected_payoffs is None and report.stationary_residual is None
 
 
 @st.composite
