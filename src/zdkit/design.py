@@ -19,7 +19,7 @@ and rank(L - I) = kappa - 1).  Both conditions are decided exactly from the
 transition graph (markov.chain_structure), or, when L is entrywise
 positive, from the rules alone (markov.positive_product); a design with
 negative entries has no such graph, and its conditions are reported as not
-evaluated.
+evaluated.  markov.solve_stationary alone picks how to solve a chain.
 """
 
 from __future__ import annotations
@@ -33,11 +33,9 @@ from .errors import DimensionError, DomainError, ValidationError
 from .games import GameSpec, json_fields, numeric_table
 from .markov import (
     DEFAULT_TOL,
-    ITERATION_KAPPA,
     POSITIVITY_TOL,
     build_pee,
     chain_structure,
-    khatri_rao_stationary,
     positive_product,
     solve_stationary,
 )
@@ -150,9 +148,11 @@ class ZDAssignment:
 
         designer must be a player of game and rows a (k_designer, kappa)
         table of numbers whose columns each sum to 1 (negative entries are
-        allowed: an irrational design has them).  Each relation needs an
-        integer row_index and coeffs, constant and mu that are JSON numbers;
-        _finite_row checks its coefficient count and that its row is finite.
+        allowed: an irrational design has them) within DEFAULT_TOL plus
+        k_designer * eps * max |entry|, the rounding of assemble's leftover
+        split.  Each relation needs an integer row_index and coeffs, constant
+        and mu that are JSON numbers; _finite_row checks its coefficient
+        count and that its row is finite.
         """
         designer, relations, rows = json_fields(
             doc, ("designer", "relations", "rows"), "assignment file")
@@ -166,7 +166,8 @@ class ZDAssignment:
                 f"rows have shape {rows.shape}, expected {expected} "
                 f"(the designer's strategies x profiles)")
         sums = rows.sum(axis=0)
-        off = np.flatnonzero(np.abs(sums - 1.0) > DEFAULT_TOL)
+        tol = DEFAULT_TOL + len(rows) * np.finfo(float).eps * np.abs(rows).max(axis=0)
+        off = np.flatnonzero(np.abs(sums - 1.0) > tol)
         if off.size:
             raise ValidationError(
                 f"rows: column {off[0] + 1} sums to {sums[off[0]]:.10g}, not 1")
@@ -371,14 +372,13 @@ def verify_effectiveness(game: GameSpec, assignment: ZDAssignment,
     makes L no chain at all: it is ineffective, with both conditions None
     (not evaluated).
 
-    A trial of two or more players from ITERATION_KAPPA profiles up whose
-    L is entrywise positive, decided exactly from the rules
-    (markov.positive_product), is one aperiodic class: both conditions
-    hold, and the stationary vector comes from the iteration over the
-    Khatri-Rao product (markov.khatri_rao_stationary) without forming L.
-    Its stationary_residual is max |K u - u| of that product K.  Every other
-    trial, and one whose iteration gives up, builds L and takes the route
-    above.
+    A trial whose L is entrywise positive, decided exactly from the rules
+    (markov.positive_product), is one aperiodic class: both conditions hold
+    without forming L, and markov.solve_stationary takes the rules.  Every
+    other trial builds L once, checks it for negative entries and its graph,
+    and hands the solve that L.  The solve picks its own route, so the
+    stationary_residual is max |L u - u| with L u taken by the product it
+    used (markov.solve_stationary).
     """
     rules = []
     for p in range(1, game.n + 1):
@@ -390,10 +390,7 @@ def verify_effectiveness(game: GameSpec, assignment: ZDAssignment,
         rules.append(r)
     rational = assignment.rationality.verdict
     limit_ok = rank_ok = payoffs = residuals = stationary_residual = None
-    # an entrywise positive L is one aperiodic class, witness 1
-    found = (game.n > 1 and game.kappa >= ITERATION_KAPPA
-             and positive_product(rules) and khatri_rao_stationary(rules))
-    if found:
+    if positive_product(rules):  # one aperiodic class, witness 1
         limit_ok = rank_ok = True
     else:
         L = build_pee(rules)
@@ -401,11 +398,10 @@ def verify_effectiveness(game: GameSpec, assignment: ZDAssignment,
             chain = chain_structure(L)
             rank_ok = chain.rank_defect == 1
             limit_ok = chain.limit_identical_columns
-        if limit_ok:
-            found = solve_stationary(L)
-    effective = bool(found)
+        rules = [L]  # formed once: the solve takes it as the chain of one rule
+    effective = bool(limit_ok)
     if effective:
-        u, stationary_residual = found
+        u, stationary_residual = solve_stationary(rules)
         ec = game.payoffs @ u
         payoffs = [float(v) for v in ec]
         residuals = [

@@ -12,21 +12,22 @@ reachability, each class's period from BFS levels, and a primitive chain's
 least witness exponent from Boolean repeated squaring.  For a stochastic L,
 rank(L - I) = kappa - 1 holds iff there is exactly one closed class, and the
 power limit exists iff every closed class is aperiodic (Kemeny & Snell,
-Finite Markov Chains, 1960).  The stationary vector comes from power
-iteration from ITERATION_KAPPA profiles up, accelerated by Aitken steps,
-certified by its residual and capped at kappa // 3 products, with one LU
-solve of L - I (a row replaced by ones) below that crossover and as the
-fallback; it is reported with its residual max |L u - u|.
+Finite Markov Chains, 1960).  solve_stationary takes the rules of a chain
+(a square table is the chain of one rule) and is the one place that picks
+the route to its stationary vector: from ITERATION_KAPPA profiles up, power
+iteration accelerated by Aitken steps, certified by its residual and capped
+at kappa // 3 products, over the Khatri-Rao product
+(W @ (R_n * u).T).ravel() of two or more rules, W the product of all rules
+but the last, so L is never formed; below that crossover, and as the
+fallback, one LU solve of L - I (a row replaced by ones).  The vector is
+reported with its residual max |L u - u|.
 
-Some chains are decided from the rules alone.  positive_product tells
-exactly, from the rules' column minima, whether L is entrywise positive;
-such a chain is one aperiodic class with witness 1, and
-khatri_rao_stationary runs the same iteration over the product
-(W @ (R_n * u).T).ravel(), W the Khatri-Rao product of all rules but the
-last, without forming L.  The float routes (Wielandt primitivity loop, SVD
-rank defect and null space, power limit by squaring) stay here as
-independent references; power iteration and the adjugate live in
-tests/oracles.py.
+Some chains are decided from the rules alone: positive_product tells
+exactly, from the rules' column minima, whether L is entrywise positive,
+and such a chain is one aperiodic class with witness 1.  The float routes
+(Wielandt primitivity loop, SVD rank defect and null space, power limit by
+squaring) stay here as independent references; power iteration and the
+adjugate live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -353,27 +354,23 @@ def _iterated_stationary(m):
     return None
 
 
-def khatri_rao_stationary(rules):
-    """(u, max |K u - u|) of the chain build_pee(rules) by _iterated_stationary
-    over the Khatri-Rao product K u of two or more rules, never forming the
-    kappa x kappa L; None when the iteration gives up."""
-    return _iterated_stationary(_KhatriRao(rules))
-
-
-def solve_stationary(L):
-    """Fixed vector of a chain with one closed class, and its residual.
+def solve_stationary(rules):
+    """Fixed vector of the chain build_pee(rules), one closed class, and its
+    residual; rules in player order, a square table being the chain of one.
 
     From ITERATION_KAPPA profiles up, power iteration runs first
-    (_iterated_stationary): u <- L u from the uniform vector, each iterate
-    scaled to mass 1 and every other one extrapolated by an Aitken step,
-    until max |L u - u| <= kappa * eps * max(u), the rounding bound of the
-    product L u at its fixed point.  It is capped at kappa // 3 products,
-    about the flops of one LU, and gives up sooner once the residual falls
-    behind the geometric pace that would reach the target by the cap, so a
-    slowly mixing chain pays two products more than the LU.  Below the
-    crossover, and when the iteration gives up, u is one LU solve of L - I
-    with its last row replaced by ones (the mass condition).  Either way the
-    residual is max |L u - u| of the u returned.
+    (_iterated_stationary) over _KhatriRao(rules), never forming L, or over
+    the one table: u <- L u from the uniform vector, each iterate scaled to
+    mass 1 and every other one extrapolated by an Aitken step, until
+    max |L u - u| <= kappa * eps * max(u), the rounding bound of the product
+    L u at its fixed point.  It is capped at kappa // 3 products, about the
+    flops of one LU, and gives up sooner once the residual falls behind the
+    geometric pace that would reach the target by the cap, so a slowly
+    mixing chain pays two products more than the LU.  Below the crossover,
+    and when the iteration gives up, u is one LU solve of L - I, L =
+    build_pee(rules), with its last row replaced by ones (the mass
+    condition).  Either way the residual is max |L u - u| of the u
+    returned, L u taken by the product that route used.
 
     The crossover comes from a grid on designed chains with interior
     opponents (the benchmark's verify-dense design at each size), three per
@@ -396,10 +393,11 @@ def solve_stationary(L):
     * products taken before the residual fell behind the pace, after which
     the LU ran.  The slow chain gives up after 2 products at every kappa.
     """
-    m = _matrix_of(L)
-    if len(m) >= ITERATION_KAPPA and (found := _iterated_stationary(m)):
+    rules = list(rules)
+    if _profile_count(rules) >= ITERATION_KAPPA and (found := _iterated_stationary(
+            _KhatriRao(rules) if len(rules) > 1 else rules[0])):
         return found
-    return _lu_stationary(m)
+    return _lu_stationary(build_pee(rules))
 
 
 def stationary_distribution(L) -> np.ndarray:
@@ -454,7 +452,7 @@ def analyze(L) -> ChainStructure:
     chain = chain_structure(L)
     if not chain.primitive:
         return chain
-    u, residual = solve_stationary(L)
+    u, residual = solve_stationary([_matrix_of(L)])
     if np.min(u) <= 0 or residual > STATIONARY_TOL + chain.drift:
         raise AnalysisError(
             f"stationary solve failed the fixed-point check "

@@ -113,6 +113,27 @@ def test_design_irrational_mu_exits_one(pinning_game_file, tmp_path):
     assert code == 1
 
 
+def test_verify_reads_back_an_irrational_design_with_large_entries(tmp_path,
+                                                                   capsys):
+    # with mu = -2e7 the leftover split rounds column 5's sum to
+    # 1 + 4e-9, beyond DEFAULT_TOL but within eps per unit of its entries
+    game = tmp_path / "g.json"
+    game.write_text(json.dumps({
+        "players": 2, "strategy_counts": [4, 2],
+        "payoffs": [[2, 3, 4, 5, 0, 0, 4, 5], [1, 1, 5, 2, 1, 4, 1, 2]]}))
+    assignment = tmp_path / "a.json"
+    assert run(["design", "--game", str(game), "--player", "1",
+                "--relation", "pin:target=2,value=2.5,row=1,mu=-2e7",
+                "--out", str(assignment)]) == 1
+    out = tmp_path / "report.json"
+    assert run(["verify", "--game", str(game), "--assignment", str(assignment),
+                "--random-opponents", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    (report,) = json.loads(out.read_text())["reports"]
+    assert not report["rational"] and report["conditions"] == {
+        "limit": None, "rank": None}
+
+
 def test_design_auto_mu(pinning_game_file, tmp_path):
     out = tmp_path / "a.json"
     code = run([
@@ -190,6 +211,18 @@ def test_analyze_matrix(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["primitive"] and doc["rank_defect"] == 1
     np.testing.assert_allclose(doc["stationary"], [5 / 6, 1 / 6], atol=1e-10)
+
+
+def test_analyze_matrix_reads_a_bare_table_of_rows(tmp_path):
+    # README: the matrix file is {"matrix": rows} or the bare table of rows
+    rows = [[0.9, 0.5], [0.1, 0.5]]
+    reports = []
+    for name, doc in (("wrapped", {"matrix": rows}), ("bare", rows)):
+        mat, out = tmp_path / f"{name}.json", tmp_path / f"{name}-report.json"
+        mat.write_text(json.dumps(doc))
+        assert run(["analyze", "--matrix", str(mat), "--out", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
 
 
 def test_analyze_matrix_non_numeric_exits_two(tmp_path, capsys):

@@ -1,15 +1,20 @@
 """Differential test: the exact chain-structure core against the float routes.
 
 chain_structure decides closed classes, periods and primitivity from the
-positivity pattern of L.  solve_stationary takes the stationary vector from
-one LU solve below ITERATION_KAPPA profiles; from there up it runs power
-iteration, certified by its residual and capped at kappa // 3 products, and
-falls back to the LU when the iteration gives up.  Here both are compared
-with the kept references on every chain the other test modules build and on
-a seeded corpus at kappa = 4, 12 and 48 (all on the LU route); the
-iteration is compared with the LU on designed chains at kappa = 256 and 512,
-and verify_effectiveness's matrix-free route with its dense route on
-all-positive trials from ITERATION_KAPPA up:
+positivity pattern of L.  solve_stationary takes the rules of a chain (a
+square table is the chain of one) and the stationary vector from one LU
+solve of build_pee(rules) below ITERATION_KAPPA profiles; from there up it
+runs power iteration, over the Khatri-Rao product of two or more rules
+without forming L, certified by its residual and capped at kappa // 3
+products, and falls back to the LU when the iteration gives up.  Here both
+are compared with the kept references on every chain the other test modules
+build and on a seeded corpus at kappa = 4, 12 and 48 (all on the LU route);
+the iteration is compared with the LU on designed chains at kappa = 256 and
+512; verify_effectiveness's branch that decides an all-positive trial from
+its rules is compared with the branch that builds L, from ITERATION_KAPPA
+up, below it and in a one-player game, where both run the same solve; and
+an all-positive trial whose iteration gives up is shown to go straight to
+the LU:
 
 - is_primitive (Wielandt loop) for the flag and the least witness exponent;
 - rank_defect (SVD) for the number of closed classes;
@@ -34,6 +39,7 @@ from zdkit import (
     assemble,
     build_pee,
     build_rule,
+    markov,
     reduce_to_fop,
 )
 from zdkit.cli import DEFAULT_SEED, _random_interior_rule, parse_relation_spec
@@ -49,7 +55,6 @@ from zdkit.markov import (
     _iterated_stationary,
     _lu_stationary,
     chain_structure,
-    khatri_rao_stationary,
     is_primitive,
     nullspace_stationary,
     positive_product,
@@ -97,7 +102,7 @@ def assert_matches_references(L):
         chain.periods)
 
     if chain.rank_defect == 1:
-        u, residual = solve_stationary(m)
+        u, residual = solve_stationary([m])
         assert residual <= STATIONARY_TOL
         assert np.max(np.abs(u - nullspace_stationary(m))) <= STATIONARY_TOL
         if chain.aperiodic:
@@ -459,7 +464,7 @@ def test_iteration_matches_the_lu_on_designed_chains(k, seed):
     iterated = _iterated_stationary(counting)
     assert game.kappa >= ITERATION_KAPPA and iterated is not None
     assert counting.products <= 20  # 14-16 on such chains, of a cap of 85 or 170
-    u, residual = solve_stationary(L)
+    u, residual = solve_stationary([L])
     assert np.array_equal(u, iterated[0]) and residual == iterated[1]
     assert residual <= game.kappa * np.finfo(float).eps * u.max()
     lu, _ = _lu_stationary(L)
@@ -467,7 +472,7 @@ def test_iteration_matches_the_lu_on_designed_chains(k, seed):
     # verify takes the matrix-free route on this all-positive chain: its
     # vector is certified against the product it used
     report = verify_effectiveness(game, assignment, {1: rules[0], 3: rules[2]})
-    ku, k_residual = khatri_rao_stationary(rules)
+    ku, k_residual = solve_stationary(rules)
     assert report.effective and report.stationary_residual == k_residual
     assert k_residual <= game.kappa * np.finfo(float).eps * ku.max()
     assert report.expected_payoffs == list(game.payoffs @ ku)
@@ -490,7 +495,7 @@ def test_a_slowly_mixing_chain_takes_the_lu_bit_for_bit(kappa):
     assert _iterated_stationary(counting) is None
     # behind the pace at once: the fallback costs a few products, not the cap
     assert counting.products <= 3
-    u, residual = solve_stationary(m)
+    u, residual = solve_stationary([m])
     want, want_residual = _lu_stationary(m)
     assert np.array_equal(u, want) and residual == want_residual
 
@@ -516,7 +521,7 @@ def test_stationary_solve_below_the_crossover_is_the_lu(kappa):
     b = np.zeros(kappa)
     b[-1] = 1.0
     want = np.linalg.solve(a, b)
-    u, residual = solve_stationary(m)
+    u, residual = solve_stationary([m])
     assert np.array_equal(u, want)
     assert residual == float(np.max(np.abs(m @ want - want)))
 
@@ -537,13 +542,15 @@ def _star_fop(degree):
 
 
 def _route_cases():
-    """(id, game, assignment) at kappa >= ITERATION_KAPPA: the designer first,
-    in the middle and last, on several shapes, and a hub's reduced game."""
+    """(id, game, assignment): from ITERATION_KAPPA up, the designer first,
+    in the middle and last, on several shapes, and a hub's reduced game;
+    then a game below the crossover and a one-player game."""
     cases = []
     for seed, (k, designer) in enumerate([((4, 8, 8), 1), ((4, 8, 8), 2),
                                           ((4, 8, 8), 3), ((8, 4, 8), 3),
-                                          ((6, 6, 8), 2), ((2, 4, 4, 8), 4)]):
-        target = 2 if designer == 1 else 1
+                                          ((6, 6, 8), 2), ((2, 4, 4, 8), 4),
+                                          ((4, 4, 4), 2), ((192,), 1)]):
+        target = 2 if designer == 1 and len(k) > 1 else 1
         game, assignment = _pinning_design(np.random.default_rng(80 + seed), k,
                                            designer, target)
         cases.append((f"k{'x'.join(map(str, k))}-designer{designer}", game,
@@ -556,19 +563,14 @@ def _route_cases():
                          ids=[case[0] for case in _route_cases()])
 def test_matrix_free_route_matches_the_dense_route(name, game, assignment,
                                                    monkeypatch):
-    assert game.kappa >= ITERATION_KAPPA
     eps = np.finfo(float).eps
     others = [p for p in range(1, game.n + 1) if p != assignment.designer]
     (rules,) = _designed_chains(game, assignment, np.random.default_rng(90),
                                 others, 1)
     opponents = {p: rules[p - 1] for p in others}
-    # the oracle builds the dense route's L, and the matrix-free product
-    # agrees with it to rounding
+    # the oracle builds the dense route's L
     L = kron_columns(rules)
     assert np.array_equal(L, build_pee(rules)) and positive_product(rules)
-    x = np.random.default_rng(91).uniform(0, 1, game.kappa)
-    assert np.max(np.abs(_KhatriRao(rules) @ x - L @ x)) <= (
-        game.kappa * eps * x.max())
 
     matrix_free = verify_effectiveness(game, assignment, opponents)
     with monkeypatch.context() as m:
@@ -577,14 +579,67 @@ def test_matrix_free_route_matches_the_dense_route(name, game, assignment,
     assert matrix_free.effective and dense.effective
     assert (matrix_free.rational, matrix_free.limit_ok, matrix_free.rank_ok) == (
         dense.rational, dense.limit_ok, dense.rank_ok) == (True, True, True)
+    if game.kappa < ITERATION_KAPPA or game.n == 1:
+        # the same solve of the same L on both branches: the LU below the
+        # crossover, the iteration over the one rule in a one-player game
+        assert matrix_free.to_json() == dense.to_json()
+        return
+    # the matrix-free product agrees with the oracle's L to rounding
+    x = np.random.default_rng(91).uniform(0, 1, game.kappa)
+    assert np.max(np.abs(_KhatriRao(rules) @ x - L @ x)) <= (
+        game.kappa * eps * x.max())
     assert np.max(np.abs(np.subtract(matrix_free.expected_payoffs,
                                      dense.expected_payoffs))) <= 1e-12
     # each route's residual is certified against the vector it returned
-    ku, k_residual = khatri_rao_stationary(rules)
-    u, residual = solve_stationary(L)
+    ku, k_residual = solve_stationary(rules)
+    u, residual = solve_stationary([L])
     assert matrix_free.stationary_residual == k_residual <= (
         game.kappa * eps * ku.max())
     assert dense.stationary_residual == residual <= game.kappa * eps * u.max()
     # and the matrix-free vector is a fixed point of the oracle's L too,
     # within the rounding the two products differ by
     assert np.max(np.abs(L @ ku - ku)) <= 2 * game.kappa * eps * ku.max()
+
+
+def _sticky_rules(rng, k, keep):
+    """Rules by which each player keeps its strategy with probability keep
+    and moves to another with the rest, split unevenly, so that L is
+    entrywise positive but mixes slowly, and is not doubly stochastic."""
+    P = _profiles(k)
+    rules = []
+    for p, k_p in enumerate(k, start=1):
+        w = rng.uniform(0.1, 1.0, (k_p, len(P)))
+        own = _logical(P[:, p - 1], k_p) == 1
+        w[own] = 0.0
+        rules.append(build_rule(p, (1 - keep) * w / w.sum(axis=0) + keep * own))
+    return rules
+
+
+def test_a_positive_trial_that_gives_up_goes_straight_to_the_lu(monkeypatch):
+    k = (4, 8, 8)
+    rng = np.random.default_rng(75)
+    rules = _sticky_rules(rng, k, 0.997)
+    game = GameSpec(k=k, payoffs=rng.uniform(-1, 3, (3, 256)))
+    assert game.kappa >= ITERATION_KAPPA and positive_product(rules)
+    sticky = ZDAssignment(designer=2, rows=rules[1])
+    want, want_residual = _lu_stationary(build_pee(rules))
+    u, residual = solve_stationary(rules)
+    assert np.array_equal(u, want) and residual == want_residual
+
+    routes = []  # (what was iterated over, products taken), then "LU"
+    iterate, lu = markov._iterated_stationary, markov._lu_stationary
+
+    def logged(m):
+        counting = _Counting(m)
+        found = iterate(counting)
+        routes.append((type(m), counting.products))
+        return found
+
+    monkeypatch.setattr(markov, "_iterated_stationary", logged)
+    monkeypatch.setattr(markov, "_lu_stationary",
+                        lambda m: routes.append("LU") or lu(m))
+    report = verify_effectiveness(game, sticky, {1: rules[0], 3: rules[2]})
+    (over, products), last = routes
+    assert over is markov._KhatriRao and products >= 1 and last == "LU"
+    assert report.stationary_residual == want_residual
+    assert report.expected_payoffs == list(game.payoffs @ want)

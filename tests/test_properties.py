@@ -1,10 +1,12 @@
-"""Property tests of design and verification on small random games, of the
-stationary solve's residual on chains either side of its crossover, of the
-positivity test verify uses to skip L, and of network validation on small
-random networks.
+"""Property tests of design and verification on small random games, of an
+assembled design read back from its JSON, of the stationary solve's
+residual on chains either side of its crossover, of the positivity test
+verify uses to skip L, and of network validation on small random networks.
 
 Examples are derandomized, so every run checks the same games.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -100,6 +102,37 @@ def test_assembled_design_keeps_row_sum_identity(case):
         xi_sum_identity(rules, assignment.designer, j)
 
 
+@st.composite
+def wide_designs(draw):
+    """A game with kappa <= 24 and an assembled design of one to k - 1 rows,
+    each with its own relation and a mu of either sign, |mu| log-uniform in
+    [1e-2, 1e14]: most such designs are irrational, with large entries."""
+    k = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3).filter(
+        lambda k: np.prod(k) <= 24)))
+    n, kappa = len(k), int(np.prod(k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    game = GameSpec(k=k, payoffs=rng.uniform(-10, 10, (n, kappa)))
+    designer = draw(st.integers(1, n))
+    rows = draw(st.lists(st.integers(1, k[designer - 1]), min_size=1,
+                         max_size=k[designer - 1] - 1, unique=True))
+    triples = [(j, LinearRelation(tuple(rng.uniform(-2, 2, n)), rng.uniform(-5, 5)),
+                draw(st.sampled_from([-1, 1])) * 10 ** draw(st.floats(-2, 14)))
+               for j in rows]
+    return game, assemble(game, designer, triples)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(wide_designs())
+def test_every_assembled_design_reads_back(case):
+    # assemble's leftover split rounds by about eps * |entry|, so a column of
+    # large entries may sum to 1 only within that; from_json allows it
+    game, assignment = case
+    back = ZDAssignment.from_json(json.loads(json.dumps(assignment.to_json())),
+                                  game)
+    assert np.array_equal(back.rows, assignment.rows)
+    assert back.relations == assignment.relations
+
+
 @PROPERTY_SETTINGS
 @given(designs(feasible=True))
 def test_both_conditions_force_every_relation(case):
@@ -122,7 +155,7 @@ def test_stationary_residual_is_that_of_the_vector_returned(kappa, seed, mix):
     rng = np.random.default_rng(seed)
     m = (1 - mix) * np.eye(kappa)[rng.permutation(kappa)] + mix * random_stochastic(
         rng, kappa)
-    u, residual = solve_stationary(m)
+    u, residual = solve_stationary([m])
     assert residual == float(np.max(np.abs(m @ u - u)))
     assert abs(u.sum() - 1.0) <= 1e-12 and residual <= 1e-12
 
