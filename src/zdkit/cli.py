@@ -10,6 +10,7 @@ success, 1 a rationality/effectiveness check failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -211,10 +212,13 @@ def _read_designed_rule(doc, game: GameSpec) -> dict:
     return {assignment.designer: build_rule(assignment.designer, assignment.as_rule())}
 
 
-def _random_interior_rule(rng, player: int, k: int, kappa: int):
-    # entries strictly inside (0, 1): draw positive weights and normalize
+def _random_interior_rule(rng, k: int, kappa: int):
+    # entries strictly inside (0, 1): draw positive weights and normalize;
+    # read-only like a rule from build_rule, whose check it cannot fail
     w = rng.uniform(0.1, 1.0, size=(k, kappa))
-    return build_rule(player, w / w.sum(axis=0))
+    w /= w.sum(axis=0)
+    w.setflags(write=False)
+    return w
 
 
 def _random_trials(seed, game: GameSpec, designer: int, count: int) -> list:
@@ -222,7 +226,7 @@ def _random_trials(seed, game: GameSpec, designer: int, count: int) -> list:
     if count == 0:
         return []
     rng = np.random.default_rng(seed)
-    return [{p: _random_interior_rule(rng, p, game.k[p - 1], game.kappa)
+    return [{p: _random_interior_rule(rng, game.k[p - 1], game.kappa)
              for p in range(1, game.n + 1) if p != designer}
             for _ in range(count)]
 
@@ -348,9 +352,9 @@ def cmd_simulate(args) -> int:
 def cmd_neg(args) -> int:
     net = NetworkGame.load(args.network)
     node = args.node
-    if (node not in net.position and node.removeprefix("-").isdecimal()
-            and str(int(node)) == node):
-        node = int(node)  # an integer id spelt as one, such as -1 but not 01
+    with contextlib.suppress(ValueError):  # not an integer, or past any id's length
+        if node not in net.position and str(int(node)) == node:
+            node = int(node)  # an integer id spelt as one, such as -1 but not 01
     try:
         fop = reduce_to_fop(net, node)
     except ZDKitError as exc:
@@ -358,11 +362,11 @@ def cmd_neg(args) -> int:
     assignment = _assemble_specs(fop.game, 1, args.relation)
     rationality = assignment.rationality
     trials = _random_trials(args.seed, fop.game, 1, args.random_opponents)
-    report_doc = {"node": str(fop.focal), "rational": rationality.verdict,
+    report_doc = {"node": str(node), "rational": rationality.verdict,
                   **_verify_trials(fop.game, assignment, trials, args.tol)}
     os.makedirs(args.out, exist_ok=True)
     game_doc = fop.game.to_json()
-    game_doc["focal_node"] = str(fop.focal)
+    game_doc["focal_node"] = str(node)
     game_doc["aggregate_profiles"] = [list(c) for c in fop.aggregate_profiles]
     _emit(game_doc, os.path.join(args.out, "reduced_game.json"), False)
     _emit(assignment.to_json(), os.path.join(args.out, "assignment.json"), False)

@@ -219,11 +219,11 @@ def _finite_row(game: GameSpec, j: int, relation: LinearRelation) -> np.ndarray:
     return w
 
 
-def design_row(game: GameSpec, i: int, j: int, w: np.ndarray, mu: float) -> np.ndarray:
-    """One designed rule row: mu * w + xi_{i,j}, for the row w _finite_row returns."""
+def design_row(w: np.ndarray, xi: np.ndarray, mu: float) -> np.ndarray:
+    """One designed rule row mu * w + xi, for _finite_row's w and xi_{i,j}."""
     if mu == 0.0:
         raise DomainError("mu must be nonzero; mu = 0 degenerates the design")
-    return mu * w + game.indexer.xi(i, j)
+    return mu * w + xi
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite row is refused
@@ -245,15 +245,16 @@ def assemble(game: GameSpec, designer: int, rows) -> ZDAssignment:
             raise DomainError(
                 f"relation of row {j} is identically zero on this game; it "
                 f"holds whatever is played and designs nothing")
+        xi = game.indexer.xi(designer, j)
         if mu is None:
-            lo, hi = feasible_mu_interval(game, designer, j, w)
+            lo, hi = feasible_mu_interval(w, xi)
             mu = hi / 2.0 if hi > -lo else lo / 2.0
             if mu == 0.0:
                 raise DomainError(
                     f"feasible mu interval [{lo:.6g}, {hi:.6g}] for row {j} "
                     f"contains only the excluded point 0; no rational design "
                     f"exists")
-        m[j - 1] = design_row(game, designer, j, w, mu)
+        m[j - 1] = design_row(w, xi, mu)
         if not np.isfinite(m[j - 1]).all():
             raise DomainError(f"mu = {mu:g} makes row {j} overflow")
         relations.append((j, relation, mu))
@@ -316,16 +317,15 @@ def rationality_check(assignment: ZDAssignment) -> RationalityReport:
     )
 
 
-def feasible_mu_interval(game: GameSpec, i: int, j: int, w: np.ndarray) -> tuple:
+def feasible_mu_interval(w: np.ndarray, xi: np.ndarray) -> tuple:
     """Closed interval of mu keeping the designed row entrywise in [0,1].
 
-    w is the relation row _finite_row returns.  Each profile s with w_s != 0
-    bounds mu by -xi_s / w_s and (1 - xi_s) / w_s; the interval is the
-    intersection of those ranges.  It always contains 0, which is itself
-    excluded from valid designs; an interval collapsing to [0, 0] means no
-    admissible mu.  A bound is never -0.0, so messages print it as 0.
+    w is _finite_row's row and xi the indicator xi_{i,j}.  Each profile s
+    with w_s != 0 bounds mu by -xi_s / w_s and (1 - xi_s) / w_s; the interval
+    is the intersection of those ranges.  It always contains 0, which is
+    itself excluded from valid designs; an interval collapsing to [0, 0]
+    means no admissible mu.  A bound is never -0.0, so messages print it as 0.
     """
-    xi = game.indexer.xi(i, j)
     nz = w != 0.0
     a, b = -xi[nz] / w[nz], (1.0 - xi[nz]) / w[nz]
     lo = np.minimum(a, b).max(initial=-np.inf)

@@ -96,9 +96,10 @@ def load_json(path, parse, *args):
     """parse(doc, *args) of the JSON document in a file; errors name the file.
 
     The one place an input error gets its file name: an unopenable,
-    malformed or non-UTF-8 file, a repeated key in one object, and any
-    ZDKitError parse raises, become a ValidationError that starts with the
-    path.
+    malformed or non-UTF-8 file, a repeated key in one object, any
+    ZDKitError parse raises, an integer (a JSON literal or a rules key) past
+    Python's int-string limit (4300 digits by default), and nesting too deep
+    to decode, become a ValidationError that starts with the path.
 
     The cyclic garbage collector is paused while the file is decoded and
     parsed, and put back as the caller had it, also on error.  A decoded
@@ -118,7 +119,7 @@ def load_json(path, parse, *args):
         raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
-    except ZDKitError as exc:
+    except (ZDKitError, ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     finally:
         if enabled:

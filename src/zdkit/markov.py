@@ -367,8 +367,8 @@ def solve_stationary(rules):
     flops of one LU, and gives up sooner once the residual falls behind the
     geometric pace that would reach the target by the cap, so a slowly
     mixing chain pays two products more than the LU.  Below the crossover,
-    and when the iteration gives up, u is one LU solve of L - I, L =
-    build_pee(rules), with its last row replaced by ones (the mass
+    and when the iteration gives up, u is one LU solve of L - I, L the
+    rules' product, with its last row replaced by ones (the mass
     condition).  Either way the residual is max |L u - u| of the u
     returned, L u taken by the product that route used.
 
@@ -397,7 +397,7 @@ def solve_stationary(rules):
     if _profile_count(rules) >= ITERATION_KAPPA and (found := _iterated_stationary(
             _KhatriRao(rules) if len(rules) > 1 else rules[0])):
         return found
-    return _lu_stationary(build_pee(rules))
+    return _lu_stationary(reduce(khatri_rao, rules))
 
 
 def stationary_distribution(L) -> np.ndarray:

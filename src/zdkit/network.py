@@ -195,7 +195,6 @@ def opponent_strategy_set(k: int, degree: int) -> list:
 class FOPGame:
     """Two-player reduction: focal node (player 1) vs fictitious opponent."""
 
-    focal: object
     game: GameSpec
     aggregate_profiles: tuple  # the opponent's count vectors, in order
 
@@ -224,4 +223,4 @@ def reduce_to_fop(net: NetworkGame, node) -> FOPGame:
         raise DomainError(
             f"node {node!r} of degree {deg}: reduced payoffs overflow")
     game = GameSpec(k=(k, len(counts)), payoffs=payoffs)
-    return FOPGame(focal=node, game=game, aggregate_profiles=tuple(counts))
+    return FOPGame(game=game, aggregate_profiles=tuple(counts))

@@ -865,6 +865,9 @@ CLEAN_EXITS = {
                              "argument --seed: '-1'"),
     "simulate_negative_seed": ("simulate", ["--seed", "-1"], "argument --seed: '-1'"),
     "neg_negative_seed": ("neg", ["--seed", "-1"], "argument --seed: '-1'"),
+    # str(int(node)) once raised past Python's 4,300-digit int-string limit
+    "neg_node_past_int_limit": ("neg", ["--node", "1" * 5000],
+                                f"net.json: unknown node '{'1' * 5000}'"),
     # numpy refuses an int64 array of 2**62 entries before allocating any
     "steps_past_array_limit": ("simulate", ["--steps", str(2 ** 62)],
                                f"steps = {2 ** 62} is more than one array can hold"),
@@ -1158,6 +1161,7 @@ def _reader_argv(tmp_path, reader, path):
 
 
 _GOOD_RULES = {"1": [[0.5] * 4] * 2, "2": [[0.5] * 4] * 2}
+_INT_LIMIT = "(4300 digits) for integer string conversion"
 _GOOD_ASSIGNMENT = {"designer": 1, "relations": [], "rows": [[0.5] * 4] * 2}
 
 # (reader, fault) -> (document, what the message must name): a document that
@@ -1198,7 +1202,34 @@ BAD_FILES = {
         "missing required field 'edges'"),
     ("network", "bool"): ({**_network_doc(), "nodes": ["a", True, "c"]},
                           "node id True is not a string or an integer"),
+    # past Python's 4,300-digit int-string limit, read by int(key)
+    ("rules", "huge_key"): ({"rules": {"1" * 5000: [[0.5] * 4] * 2}},
+                            _INT_LIMIT),
 }
+# a huge_int fault puts an integer of 5,000 digits at a field of a good file,
+# past Python's 4,300-digit int-string limit, and a deep fault an array nested
+# 100,000 deep; json.dumps cannot write either, so the document holds
+# "<fault>" where _file_text puts the fault's text
+_FAULT_TEXT = {"huge_int": "7" * 5000, "deep": "[" * 100_000 + "]" * 100_000}
+_FIELD_FAULTS = {
+    "game": {"players": 2, "strategy_counts": [2, 2],
+             "payoffs": [["<fault>", 0, 5, 1], PD_GAME[1].tolist()]},
+    "rules": {"rules": {**_GOOD_RULES, "2": [["<fault>"] * 4] * 2}},
+    "matrix": {"matrix": [["<fault>", 0], [0, 1]]},
+    "assignment": {**_GOOD_ASSIGNMENT, "designer": "<fault>"},
+    "network": {**_network_doc(), "nodes": ["a", "<fault>", "c"]},
+}
+for _reader, _doc in _FIELD_FAULTS.items():
+    BAD_FILES[_reader, "huge_int"] = (_doc, _INT_LIMIT)
+    BAD_FILES[_reader, "deep"] = (_doc, "maximum recursion depth exceeded")
+
+
+def _file_text(doc, fault) -> str:
+    """json.dumps(doc), with a huge_int or deep fault's text at "<fault>"."""
+    text = json.dumps(doc)
+    if fault in _FAULT_TEXT:
+        text = text.replace('"<fault>"', _FAULT_TEXT[fault])
+    return text
 
 
 @pytest.mark.parametrize("reader,fault", list(BAD_FILES),
@@ -1206,7 +1237,7 @@ BAD_FILES = {
 def test_every_reader_names_the_bad_file(tmp_path, capsys, reader, fault):
     doc, named = BAD_FILES[reader, fault]
     path = tmp_path / f"bad_{reader}.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(_file_text(doc, fault))
     argv = _reader_argv(tmp_path, reader, str(path))
     capsys.readouterr()
     assert run(argv) == 2
@@ -1238,6 +1269,19 @@ def test_neg_node_spelt_with_a_leading_zero_is_not_an_integer_id(tmp_path,
                 "--relation", "pin:target=2,value=2,row=1,mu=auto",
                 "--random-opponents", "0", "--out", str(tmp_path / "out")]) == 2
     assert f"{path}: unknown node '01'" in capsys.readouterr().err
+
+
+def test_neg_node_past_the_int_string_limit_on_integer_ids_is_unknown(tmp_path,
+                                                                    capsys):
+    # CLEAN_EXITS has the same --node on a network of string ids
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({**_network_doc(), "nodes": [1, 2, 3],
+                                "edges": [[1, 2], [2, 3]]}))
+    node = "1" * 5000
+    assert run(["neg", "--network", str(path), "--node", node,
+                "--relation", "pin:target=2,value=2,row=1,mu=auto",
+                "--random-opponents", "0", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: unknown node '{node}'\n"
 
 
 @pytest.mark.parametrize("keys,named", [(("1", "3"), "player 3 outside 1..2"),

@@ -16,6 +16,7 @@ from zdkit import (
     verify_effectiveness,
 )
 from zdkit.design import design_row, feasible_mu_interval
+from zdkit.games import ProfileIndexer
 from conftest import (
     EXTORTION_DESIGN,
     EXTORTION_ROW_1,
@@ -74,19 +75,19 @@ def test_design_row_zero_relation_passthrough():
     payoffs = np.tile(np.arange(4.0), (2, 1))
     game = GameSpec(k=(2, 2), payoffs=payoffs)
     rel = LinearRelation((1.0, -1.0), 0.0)
-    row = design_row(game, 1, 1, rel.row(game), mu=0.5)
+    row = design_row(rel.row(game), game.indexer.xi(1, 1), mu=0.5)
     np.testing.assert_array_equal(row, game.indexer.xi(1, 1))
 
 
 def test_design_row_rejects_zero_mu(pinning_game):
     rel = LinearRelation.pinning(3, 1, 4)
     with pytest.raises(DomainError):
-        design_row(pinning_game, 2, 1, rel.row(pinning_game), mu=0.0)
+        design_row(rel.row(pinning_game), pinning_game.indexer.xi(2, 1), mu=0.0)
 
 
 def test_design_scale_covariance(pinning_game):
     rel = LinearRelation((2.0, 0.0, 0.0), -8.0)  # pinning relation scaled by 2
-    row = design_row(pinning_game, 2, 1, rel.row(pinning_game), mu=0.05)
+    row = design_row(rel.row(pinning_game), pinning_game.indexer.xi(2, 1), mu=0.05)
     np.testing.assert_allclose(row, PINNING_ROW_1, rtol=0, atol=1e-15)
 
 
@@ -146,14 +147,15 @@ def test_row_sum_identity_random_games(k):
 
 def test_feasible_mu_interval_golden(pinning_game):
     rel = LinearRelation.pinning(3, 1, 4)
-    lo, hi = feasible_mu_interval(pinning_game, 2, 1, rel.row(pinning_game))
+    lo, hi = feasible_mu_interval(rel.row(pinning_game), pinning_game.indexer.xi(2, 1))
     assert lo < 0.1 < hi  # the published choice lies inside
 
 
 def test_feasible_mu_interval_zero_row():
     payoffs = np.tile(np.arange(4.0), (2, 1))
     game = GameSpec(k=(2, 2), payoffs=payoffs)
-    lo, hi = feasible_mu_interval(game, 1, 1, LinearRelation((1.0, -1.0), 0.0).row(game))
+    lo, hi = feasible_mu_interval(LinearRelation((1.0, -1.0), 0.0).row(game),
+                                  game.indexer.xi(1, 1))
     assert lo == -np.inf and hi == np.inf
 
 
@@ -161,7 +163,7 @@ def test_feasible_mu_interval_grid_oracle(pinning_game):
     """Every mu inside the interval passes the per-entry check, every mu
     outside fails (dense grid brute force)."""
     rel = LinearRelation((1.0, -0.7, 0.2), -2.0)
-    lo, hi = feasible_mu_interval(pinning_game, 2, 2, rel.row(pinning_game))
+    lo, hi = feasible_mu_interval(rel.row(pinning_game), pinning_game.indexer.xi(2, 2))
     w = rel.row(pinning_game)
     xi = pinning_game.indexer.xi(2, 2)
     for mu in np.linspace(lo - 0.5, hi + 0.5, 401):
@@ -192,7 +194,7 @@ def test_effectiveness_limit_failure_on_periodic_chain():
     payoffs = np.tile(np.arange(4.0), (2, 1))
     game = GameSpec(k=(2, 2), payoffs=payoffs)
     rel = LinearRelation((1.0, -1.0), 0.0)
-    row = design_row(game, 1, 1, rel.row(game), 0.5)
+    row = design_row(rel.row(game), game.indexer.xi(1, 1), 0.5)
     a = ZDAssignment(designer=1, rows=[row, 1.0 - row], relations=((1, rel, 0.5),))
     switch = build_rule(2, [[0, 1, 0, 1], [1, 0, 1, 0]])
     report = verify_effectiveness(game, a, {2: switch})
@@ -204,7 +206,7 @@ def test_effectiveness_rank_failure_on_two_block_chain():
     payoffs = np.tile(np.arange(4.0), (2, 1))
     game = GameSpec(k=(2, 2), payoffs=payoffs)
     rel = LinearRelation((1.0, -1.0), 0.0)
-    row = design_row(game, 1, 1, rel.row(game), 0.5)
+    row = design_row(rel.row(game), game.indexer.xi(1, 1), 0.5)
     a = ZDAssignment(designer=1, rows=[row, 1.0 - row], relations=((1, rel, 0.5),))
     # opponent mixes uniformly regardless of state; the designer's own move
     # never changes, so the chain splits into two independent blocks
@@ -227,7 +229,7 @@ def test_multi_designer_compatibility():
 
     def pick_design(i, target):
         rel = LinearRelation.pinning(3, target, 0.0)
-        lo, hi = feasible_mu_interval(game, i, 1, rel.row(game))
+        lo, hi = feasible_mu_interval(rel.row(game), game.indexer.xi(i, 1))
         mu = hi / 2 if hi > -lo else lo / 2
         assert mu != 0.0
         return assemble(game, i, [(1, rel, mu)])
@@ -297,6 +299,20 @@ def test_assemble_forms_each_relation_row_once(pinning_game, monkeypatch):
         assemble(pinning_game, 2, [(1, LinearRelation.pinning(3, 1, 4.0), mu),
                                    (2, LinearRelation.pinning(3, 3, 3.0), mu)])
         assert len(calls) == 2
+
+
+def test_assemble_forms_each_indicator_row_once(pinning_game, monkeypatch):
+    # xi_{i,j} is formed once per designed row and handed to
+    # feasible_mu_interval and design_row, with mu auto or given
+    calls = []
+    xi = ProfileIndexer.xi
+    monkeypatch.setattr(ProfileIndexer, "xi",
+                        lambda self, i, j: calls.append((i, j)) or xi(self, i, j))
+    for mu in (None, 0.1):
+        calls.clear()
+        assemble(pinning_game, 2, [(1, LinearRelation.pinning(3, 1, 4.0), mu),
+                                   (2, LinearRelation.pinning(3, 3, 3.0), mu)])
+        assert calls == [(2, 1), (2, 2)]
 
 
 def test_relation_with_the_wrong_count_is_refused_naming_its_row(pinning_game):
@@ -405,7 +421,7 @@ def check_against_loops(game, designer, specs):
     """
     intervals = {}
     for j, rel in specs:
-        lo, hi = feasible_mu_interval(game, designer, j, rel.row(game))
+        lo, hi = feasible_mu_interval(rel.row(game), game.indexer.xi(designer, j))
         ref_lo, ref_hi = loop_feasible_mu_interval(game, designer, j, rel)
         assert same_float(lo, ref_lo) and same_float(hi, ref_hi)
         intervals[j] = (lo, hi)
@@ -491,12 +507,13 @@ def test_relation_constructors_reject_players_out_of_range():
 
 def test_assemble_auto_mu_and_row_checks(pinning_game):
     rel = LinearRelation.pinning(3, 1, 4)
-    lo, hi = feasible_mu_interval(pinning_game, 2, 1, rel.row(pinning_game))
+    lo, hi = feasible_mu_interval(rel.row(pinning_game), pinning_game.indexer.xi(2, 1))
     auto = assemble(pinning_game, 2, [(1, rel, None)])
     assert auto.relations[0][2] == (hi / 2 if hi > -lo else lo / 2)
     np.testing.assert_array_equal(
         auto.rows[0],
-        design_row(pinning_game, 2, 1, rel.row(pinning_game), auto.relations[0][2]))
+        design_row(rel.row(pinning_game), pinning_game.indexer.xi(2, 1),
+                   auto.relations[0][2]))
     with pytest.raises(DomainError, match="row 1 designed twice"):
         assemble(pinning_game, 2, [(1, rel, 0.1), (1, rel, 0.2)])
 

@@ -139,7 +139,7 @@ def _repeat_designer():
     """test_design's "repeat my move" designer on the equal-payoff game."""
     game = GameSpec(k=(2, 2), payoffs=np.tile(np.arange(4.0), (2, 1)))
     rel = LinearRelation((1.0, -1.0), 0.0)
-    row = design_row(game, 1, 1, rel.row(game), 0.5)
+    row = design_row(rel.row(game), game.indexer.xi(1, 1), 0.5)
     return ZDAssignment(designer=1, rows=[row, 1.0 - row],
                         relations=((1, rel, 0.5),))
 
@@ -223,7 +223,7 @@ def existing_test_chains():
     chains["acceptance.08"] = drawn
     fop = reduce_to_fop(fig1_network(), "A")
     rel = LinearRelation.pinning(2, 2, 2.0)
-    row = design_row(fop.game, 1, 1, rel.row(fop.game), -1 / 16)
+    row = design_row(rel.row(fop.game), fop.game.indexer.xi(1, 1), -1 / 16)
     pin_a = ZDAssignment(designer=1, rows=[row, 1.0 - row],
                          relations=((1, rel, -1 / 16),))
     chains["acceptance.09"] = _designed_chains(
@@ -239,7 +239,7 @@ def existing_test_chains():
         for seed in range(40, 46)]
 
     # test_network
-    lo, hi = feasible_mu_interval(fop.game, 1, 1, rel.row(fop.game))
+    lo, hi = feasible_mu_interval(rel.row(fop.game), fop.game.indexer.xi(1, 1))
     fop_pin = assemble(fop.game, 1, [(1, rel, hi / 2 if hi > -lo else lo / 2)])
     chains["network.fop_pinning"] = _designed_chains(
         fop.game, fop_pin, np.random.default_rng(30), (2,), 5)
@@ -248,7 +248,7 @@ def existing_test_chains():
     rng = np.random.default_rng(3)
     chains["cli.verify"] = []
     for _ in range(5):
-        opp = {p: _random_interior_rule(rng, p, ext_game.k[p - 1], 12)
+        opp = {p: _random_interior_rule(rng, ext_game.k[p - 1], 12)
                for p in (1, 3)}
         chains["cli.verify"].append([opp[1], ext.as_rule(), opp[3]])
     # neg --node A --seed 9 and --node E with the default seed
@@ -258,7 +258,7 @@ def existing_test_chains():
             "pin:target=2,value=2,row=1,mu=auto", game, 1)])
         rng = np.random.default_rng(seed)
         chains[f"cli.neg_{node}"] = [
-            [pin.as_rule(), _random_interior_rule(rng, 2, game.k[1], game.kappa)]
+            [pin.as_rule(), _random_interior_rule(rng, game.k[1], game.kappa)]
             for _ in range(trials)]
     rng = np.random.default_rng(50)
     chains["cli.simulate"] = [[build_rule(p + 1, w / w.sum(axis=0)) for p, w in
@@ -277,7 +277,7 @@ def _multi_designer_chains():
 
     def pick(i, target):
         rel = LinearRelation.pinning(3, target, 0.0)
-        lo, hi = feasible_mu_interval(game, i, 1, rel.row(game))
+        lo, hi = feasible_mu_interval(rel.row(game), game.indexer.xi(i, 1))
         return assemble(game, i, [(1, rel, hi / 2 if hi > -lo else lo / 2)])
 
     a1, a3 = pick(1, 2), pick(3, 1)
@@ -643,3 +643,23 @@ def test_a_positive_trial_that_gives_up_goes_straight_to_the_lu(monkeypatch):
     assert over is markov._KhatriRao and products >= 1 and last == "LU"
     assert report.stationary_residual == want_residual
     assert report.expected_payoffs == list(game.payoffs @ want)
+
+
+@pytest.mark.parametrize("tables", ["one", "several"])
+def test_the_lu_route_counts_the_profiles_once(monkeypatch, tables):
+    # below ITERATION_KAPPA the LU takes the product of the rules the solve
+    # has counted, not build_pee's, which would count them again
+    rng = np.random.default_rng(93)
+    rules = [_random_interior_rule(rng, k, 12) for k in (2, 3, 2)]
+    if tables == "one":
+        rules = [build_pee(rules)]
+    want, want_residual = _lu_stationary(build_pee(rules))
+    counted = []
+    count = markov._profile_count
+    monkeypatch.setattr(markov, "_profile_count",
+                        lambda rules: counted.append(len(rules)) or count(rules))
+    monkeypatch.setattr(markov, "build_pee",
+                        lambda rules: pytest.fail("build_pee counted them again"))
+    u, residual = solve_stationary(rules)
+    assert counted == [len(rules)]
+    assert np.array_equal(u, want) and residual == want_residual
